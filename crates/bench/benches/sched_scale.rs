@@ -11,21 +11,26 @@
 //! reference implementation, so the speedup of the donor/availability
 //! indices stays visible. Baselines are recorded in `BENCH_sched.json`.
 //!
-//! The per-pass benches use the `always_probe` policy variants: they call
-//! `schedule` thousands of times on one frozen view, and the production
-//! probe memo would turn every iteration after the first into a skip-path
-//! no-op. The dirty-tracked path is measured end-to-end instead (the
-//! events/sec guard in `sched_guard`), where state actually evolves.
+//! The per-pass benches wrap the policies in `oracle::AlwaysProbe`: they
+//! call `schedule` thousands of times on one frozen view, and the
+//! production probe memo would turn every iteration after the first into a
+//! skip-path no-op. The dirty-tracked path is measured end-to-end instead
+//! (the events/sec guard in `sched_guard`), where state actually evolves.
+//! Every view is built the way a test builds one: `SchedIndex::rebuild`
+//! over the fixture's free vector and running jobs, and
+//! `AdmissionOrder::from_queue` over its queue. The scan reference reads
+//! the same view and ignores all of it but the running jobs and free CPUs.
 
 use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use drom_bench::sched_fixtures::{
-    loaded_state, loaded_state_model, reservation_stress_state, NODE_CPUS,
+    loaded_state, loaded_state_model, reservation_stress_state, view_state, NODE_CPUS,
 };
 use drom_sim::{mixed_hpc_trace, ClusterSim};
-use drom_slurm::policy::{ClusterView, SchedIndex, SchedulerPolicy};
-use drom_slurm::{BackfillPolicy, FirstFitPolicy, MalleablePolicy, MalleableScanPolicy};
+use drom_slurm::policy::oracle::{AlwaysProbe, MalleableScanPolicy};
+use drom_slurm::policy::{ClusterView, SchedulerPolicy};
+use drom_slurm::{BackfillPolicy, FirstFitPolicy, MalleablePolicy};
 
 fn bench_sched_scale(c: &mut Criterion) {
     let mut group = c.benchmark_group("sched_scale");
@@ -33,34 +38,26 @@ fn bench_sched_scale(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(3));
 
     let (free, running, queue) = loaded_state(128);
-    let index = SchedIndex::rebuild(&free, &running);
+    let (index, order) = view_state(&free, &running, &queue);
     let view = ClusterView {
         node_cpus: NODE_CPUS,
-        free: &free,
         running: &running,
-        index: Some(&index),
-        order: None,
-    };
-    let view_no_index = ClusterView {
-        node_cpus: NODE_CPUS,
-        free: &free,
-        running: &running,
-        index: None,
-        order: None,
+        index: &index,
+        order: &order,
     };
 
     group.bench_function("first_fit_pass_128n", |b| {
-        let mut policy = FirstFitPolicy::always_probe();
+        let mut policy = AlwaysProbe(FirstFitPolicy::default());
         b.iter(|| black_box(policy.schedule(&view, &queue, 1_000)));
     });
 
     group.bench_function("backfill_pass_128n", |b| {
-        let mut policy = BackfillPolicy::always_probe();
+        let mut policy = AlwaysProbe(BackfillPolicy::default());
         b.iter(|| black_box(policy.schedule(&view, &queue, 1_000)));
     });
 
     group.bench_function("malleable_pass_128n", |b| {
-        let mut policy = MalleablePolicy::always_probe();
+        let mut policy = AlwaysProbe(MalleablePolicy::default());
         b.iter(|| black_box(policy.schedule(&view, &queue, 1_000)));
     });
 
@@ -68,7 +65,7 @@ fn bench_sched_scale(c: &mut Criterion) {
     // is the committed 2 ms baseline the indexed pass is measured against.
     group.bench_function("malleable_scan_pass_128n", |b| {
         let mut policy = MalleableScanPolicy::default();
-        b.iter(|| black_box(policy.schedule(&view_no_index, &queue, 1_000)));
+        b.iter(|| black_box(policy.schedule(&view, &queue, 1_000)));
     });
 
     // The same loaded view with the calibrated app models attached: the
@@ -76,45 +73,36 @@ fn bench_sched_scale(c: &mut Criterion) {
     // next to the linear pass so the model coupling's cost stays visible
     // (sched_guard enforces it in CI).
     let (free_m, running_m, queue_m) = loaded_state_model(128);
-    let index_m = SchedIndex::rebuild(&free_m, &running_m);
+    let (index_m, order_m) = view_state(&free_m, &running_m, &queue_m);
     let view_m = ClusterView {
         node_cpus: NODE_CPUS,
-        free: &free_m,
         running: &running_m,
-        index: Some(&index_m),
-        order: None,
+        index: &index_m,
+        order: &order_m,
     };
     group.bench_function("malleable_model_pass_128n", |b| {
-        let mut policy = MalleablePolicy::always_probe();
+        let mut policy = AlwaysProbe(MalleablePolicy::default());
         b.iter(|| black_box(policy.schedule(&view_m, &queue_m, 1_000)));
     });
 
     // The scale-out tier's view: 1024 nodes, ~1530 running, 512 queued.
     let (free_xl, running_xl, queue_xl) = loaded_state(1024);
-    let index_xl = SchedIndex::rebuild(&free_xl, &running_xl);
+    let (index_xl, order_xl) = view_state(&free_xl, &running_xl, &queue_xl);
     let view_xl = ClusterView {
         node_cpus: NODE_CPUS,
-        free: &free_xl,
         running: &running_xl,
-        index: Some(&index_xl),
-        order: None,
-    };
-    let view_xl_no_index = ClusterView {
-        node_cpus: NODE_CPUS,
-        free: &free_xl,
-        running: &running_xl,
-        index: None,
-        order: None,
+        index: &index_xl,
+        order: &order_xl,
     };
 
     group.bench_function("malleable_pass_1024n", |b| {
-        let mut policy = MalleablePolicy::always_probe();
+        let mut policy = AlwaysProbe(MalleablePolicy::default());
         b.iter(|| black_box(policy.schedule(&view_xl, &queue_xl, 1_000)));
     });
 
     group.bench_function("malleable_scan_pass_1024n", |b| {
         let mut policy = MalleableScanPolicy::default();
-        b.iter(|| black_box(policy.schedule(&view_xl_no_index, &queue_xl, 1_000)));
+        b.iter(|| black_box(policy.schedule(&view_xl, &queue_xl, 1_000)));
     });
 
     // The reservation-stress view: 1024 rigid holders with distinct
@@ -124,30 +112,22 @@ fn bench_sched_scale(c: &mut Criterion) {
     // keeps the per-candidate replay, so the pair records the timeline's
     // speedup the way malleable_* vs malleable_scan_* records the index's.
     let (free_r, running_r, queue_r) = reservation_stress_state(1024);
-    let index_r = SchedIndex::rebuild(&free_r, &running_r);
+    let (index_r, order_r) = view_state(&free_r, &running_r, &queue_r);
     let view_r = ClusterView {
         node_cpus: NODE_CPUS,
-        free: &free_r,
         running: &running_r,
-        index: Some(&index_r),
-        order: None,
-    };
-    let view_r_no_index = ClusterView {
-        node_cpus: NODE_CPUS,
-        free: &free_r,
-        running: &running_r,
-        index: None,
-        order: None,
+        index: &index_r,
+        order: &order_r,
     };
 
     group.bench_function("malleable_reservation_pass_1024n", |b| {
-        let mut policy = MalleablePolicy::always_probe();
+        let mut policy = AlwaysProbe(MalleablePolicy::default());
         b.iter(|| black_box(policy.schedule(&view_r, &queue_r, 1_000)));
     });
 
     group.bench_function("malleable_scan_reservation_pass_1024n", |b| {
         let mut policy = MalleableScanPolicy::default();
-        b.iter(|| black_box(policy.schedule(&view_r_no_index, &queue_r, 1_000)));
+        b.iter(|| black_box(policy.schedule(&view_r, &queue_r, 1_000)));
     });
 
     // End-to-end: a full 300-job trace on 32 nodes, malleable policy. The

@@ -24,10 +24,10 @@
 //! (EXPERIMENTS.md).
 //!
 //! `--scan` replays the malleable row a second time under the O(nodes·jobs)
-//! reference scan (`MalleableScanPolicy`) and hard-fails on any divergence
-//! from the indexed pass — the differential harness the CI smoke runs on the
-//! model-aware tier, where the curve-driven donor ranking has the most
-//! surface to drift.
+//! reference scan (`drom_slurm::policy::oracle::MalleableScanPolicy`) and
+//! hard-fails on any divergence from the indexed pass — the differential
+//! harness the CI smoke runs on the model-aware tier, where the
+//! curve-driven donor ranking has the most surface to drift.
 //!
 //! `--loss-tolerance F` adds one more malleable row replayed with the
 //! shrink-economics gate relaxed to `gain × F ≥ loss` (`F = 1.0` is the
@@ -43,8 +43,9 @@ use drom_sim::{
     mega_trace, mixed_hpc_trace, model_aware_trace, queue_churn_trace, reservation_heavy_trace,
     scale_out_trace, ClusterRunReport, ClusterSim,
 };
+use drom_slurm::policy::oracle::MalleableScanPolicy;
 use drom_slurm::policy::{SchedulerPolicy, SpeedupCurve};
-use drom_slurm::{BackfillPolicy, FirstFitPolicy, MalleablePolicy, MalleableScanPolicy};
+use drom_slurm::{BackfillPolicy, FirstFitPolicy, MalleablePolicy};
 
 /// Value of `flag` on the command line, or `default`. An unparsable value is
 /// a hard error: silently running the experiment at a default the user did

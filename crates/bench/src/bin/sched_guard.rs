@@ -26,11 +26,12 @@
 use std::time::Instant;
 
 use drom_bench::sched_fixtures::{
-    loaded_state, loaded_state_model, reservation_stress_state, NODE_CPUS,
+    loaded_state, loaded_state_model, reservation_stress_state, view_state, NODE_CPUS,
 };
 use drom_sim::{queue_churn_trace, ClusterSim};
-use drom_slurm::policy::{ClusterView, SchedIndex, SchedulerPolicy};
-use drom_slurm::{MalleablePolicy, MalleableScanPolicy};
+use drom_slurm::policy::oracle::{AlwaysProbe, MalleableScanPolicy};
+use drom_slurm::policy::{ClusterView, SchedulerPolicy};
+use drom_slurm::MalleablePolicy;
 
 const INDEXED_KEY: &str = "sched_scale/malleable_pass_128n";
 const MODEL_KEY: &str = "sched_scale/malleable_model_pass_128n";
@@ -122,50 +123,40 @@ fn main() {
         .unwrap_or_else(|| panic!("no {EVENTS_KEY} mean_ns in {baseline_path}"));
 
     let (free, running, queue) = loaded_state(128);
-    let index = SchedIndex::rebuild(&free, &running);
+    let (index, order) = view_state(&free, &running, &queue);
     let view = ClusterView {
         node_cpus: NODE_CPUS,
-        free: &free,
         running: &running,
-        index: Some(&index),
-        order: None,
-    };
-    let view_no_index = ClusterView {
-        index: None,
-        ..view
+        index: &index,
+        order: &order,
     };
     let (free_m, running_m, queue_m) = loaded_state_model(128);
-    let index_m = SchedIndex::rebuild(&free_m, &running_m);
+    let (index_m, order_m) = view_state(&free_m, &running_m, &queue_m);
     let view_m = ClusterView {
         node_cpus: NODE_CPUS,
-        free: &free_m,
         running: &running_m,
-        index: Some(&index_m),
-        order: None,
+        index: &index_m,
+        order: &order_m,
     };
     let (free_r, running_r, queue_r) = reservation_stress_state(1024);
-    let index_r = SchedIndex::rebuild(&free_r, &running_r);
+    let (index_r, order_r) = view_state(&free_r, &running_r, &queue_r);
     let view_r = ClusterView {
         node_cpus: NODE_CPUS,
-        free: &free_r,
         running: &running_r,
-        index: Some(&index_r),
-        order: None,
+        index: &index_r,
+        order: &order_r,
     };
 
-    // The latency keys use the always-probe variant: `measure` replays one
+    // The latency keys use the always-probe wrapper: `measure` replays one
     // frozen view, and the production probe memo would collapse every
     // iteration after the first into a skip-path no-op. The dirty-tracked
     // production path is what the events/sec key below measures, end to end.
-    let indexed_ns = measure(&mut MalleablePolicy::always_probe(), &view, &queue, 200);
-    let model_ns = measure(&mut MalleablePolicy::always_probe(), &view_m, &queue_m, 200);
-    let reservation_ns = measure(&mut MalleablePolicy::always_probe(), &view_r, &queue_r, 200);
-    let scan_ns = measure(
-        &mut MalleableScanPolicy::default(),
-        &view_no_index,
-        &queue,
-        20,
-    );
+    let probe = || AlwaysProbe(MalleablePolicy::default());
+    let indexed_ns = measure(&mut probe(), &view, &queue, 200);
+    let model_ns = measure(&mut probe(), &view_m, &queue_m, 200);
+    let reservation_ns = measure(&mut probe(), &view_r, &queue_r, 200);
+    // The scan reads only the view's running jobs and free CPUs.
+    let scan_ns = measure(&mut MalleableScanPolicy::default(), &view, &queue, 20);
     let (events_ns, events) = measure_events();
     println!(
         "sched_guard: queue-churn mega replay {events} events at {events_ns:.0} ns/event \

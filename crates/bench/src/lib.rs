@@ -167,11 +167,25 @@ pub mod sched_fixtures {
     use std::collections::HashMap;
 
     use drom_apps::AppKind;
-    use drom_slurm::policy::{JobAllocation, QueuedJob, RunningJob};
+    use drom_slurm::policy::{AdmissionOrder, JobAllocation, QueuedJob, RunningJob, SchedIndex};
     use drom_slurm::SpeedupCurve;
 
     /// CPUs per node of the bench clusters.
     pub const NODE_CPUS: usize = 16;
+
+    /// The index and admission order a fixture's `ClusterView` borrows:
+    /// the index rebuilt from the fixture's free vector and running jobs,
+    /// the order built over its queue.
+    pub fn view_state(
+        free: &[usize],
+        running: &[RunningJob],
+        queue: &[QueuedJob],
+    ) -> (SchedIndex, AdmissionOrder) {
+        (
+            SchedIndex::rebuild(free, running),
+            AdmissionOrder::from_queue(queue),
+        )
+    }
 
     /// A loaded cluster snapshot: ~1.5 running jobs per node (1–4 nodes
     /// each, some shrunk; the shape mix saturates the cluster just before

@@ -151,6 +151,8 @@ impl ClusterSim {
     ///
     /// # Errors
     ///
+    /// * [`SlurmError::DuplicateJob`] before replaying anything, when two
+    ///   trace jobs share an id.
     /// * [`SlurmError::Unschedulable`] as soon as a trace job arrives that no
     ///   node can ever host — the engine refuses to livelock on it.
     /// * [`SlurmError::InvalidAction`] if the policy emits an action the
@@ -163,10 +165,16 @@ impl ClusterSim {
         policy: Box<dyn SchedulerPolicy>,
         trace: &[TraceJob],
     ) -> Result<ClusterRunReport, SlurmError> {
+        // Job ids key every per-job map below and the scheduler's admission
+        // order, so a repeated id is rejected once, before anything replays.
+        let mut durations: HashMap<u64, TimeUs> = HashMap::with_capacity(trace.len());
+        for t in trace {
+            if durations.insert(t.job.id, t.duration_us).is_some() {
+                return Err(SlurmError::DuplicateJob { job_id: t.job.id });
+            }
+        }
         let mut sched = PolicyScheduler::new(self.num_nodes, self.node_cpus, policy);
         let policy_name = sched.policy_name();
-        let durations: HashMap<u64, TimeUs> =
-            trace.iter().map(|t| (t.job.id, t.duration_us)).collect();
         // One rate definition per job: linear CPU-µs for model-less jobs
         // (the PR 3/4 arithmetic, bit for bit), the job's speedup curve
         // otherwise — the same curve the scheduler's estimates consult.
@@ -320,10 +328,9 @@ mod tests {
         mixed_hpc_trace, model_aware_trace, queue_churn_trace, reservation_heavy_trace,
     };
     use drom_apps::AppKind;
+    use drom_slurm::policy::oracle::MalleableScanPolicy;
     use drom_slurm::policy::QueuedJob;
-    use drom_slurm::{
-        BackfillPolicy, FirstFitPolicy, MalleablePolicy, MalleableScanPolicy, SpeedupCurve,
-    };
+    use drom_slurm::{BackfillPolicy, FirstFitPolicy, MalleablePolicy, SpeedupCurve};
 
     fn tiny_trace() -> Vec<TraceJob> {
         mixed_hpc_trace(11, 60, 8, 16, 1.2).generate()
@@ -428,6 +435,36 @@ mod tests {
         ] {
             let err = ClusterSim::new(4, 16).run(policy, &jobs).unwrap_err();
             assert!(matches!(err, SlurmError::Unschedulable { job_id: 1, .. }));
+        }
+    }
+
+    /// A trace that repeats a job id is rejected before anything replays.
+    /// The repeated id arrives long after the first one completed, so a
+    /// replay would otherwise have run both under one id's duration and
+    /// rate entries.
+    #[test]
+    fn repeated_trace_id_is_rejected_before_replay() {
+        let jobs = vec![
+            TraceJob {
+                job: QueuedJob::new(7, 1, 16),
+                duration_us: 100,
+            },
+            TraceJob {
+                job: QueuedJob::new(8, 1, 4).with_submit_us(5),
+                duration_us: 50,
+            },
+            TraceJob {
+                job: QueuedJob::new(7, 1, 8).with_submit_us(10_000),
+                duration_us: 300,
+            },
+        ];
+        for policy in [
+            Box::new(FirstFitPolicy::default()) as Box<dyn SchedulerPolicy>,
+            Box::new(BackfillPolicy::default()),
+            Box::new(MalleablePolicy::default()),
+        ] {
+            let err = ClusterSim::new(2, 16).run(policy, &jobs).unwrap_err();
+            assert_eq!(err, SlurmError::DuplicateJob { job_id: 7 });
         }
     }
 

@@ -323,10 +323,12 @@ pub fn model_aware_trace(
 /// A reservation-dense job stream: a heavy rigid minority — including
 /// cluster-quarter-wide full-width jobs that can never be shrunk into a
 /// packed cluster — keeps the queue head blocked, so almost every scheduling
-/// pass computes a drain reservation. This is the workload that makes
-/// `earliest_release_fit` the dominant pass cost, which is exactly what the
-/// release-timeline differentials and the pinned reservation digests need to
-/// exercise; the malleable filler classes keep the cluster packed enough
+/// pass computes a drain reservation. This is the workload that makes the
+/// drain forecast the dominant pass cost — the release-timeline walk in
+/// production, the `earliest_release_fit` replay in the
+/// `drom_slurm::policy::oracle` reference — which is exactly what the
+/// timeline-vs-replay differentials and the pinned reservation digests need
+/// to exercise; the malleable filler classes keep the cluster packed enough
 /// that the rigid jobs never fit immediately.
 pub fn reservation_heavy_trace(
     seed: u64,

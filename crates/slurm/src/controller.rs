@@ -185,10 +185,12 @@ pub struct SchedulerStats {
 ///
 /// The scheduler also owns an incrementally maintained [`SchedIndex`] —
 /// per-node free, reclaimable-CPU summary and donor lists — updated at every
-/// applied start / resize / completion and handed to the policy through the
-/// view, so an index-aware policy (the malleable one) never recomputes those
-/// sums from the running set. In debug builds every [`tick`] cross-checks
-/// the index against a from-scratch rebuild.
+/// applied start / resize / completion, and an [`AdmissionOrder`] over the
+/// queue, updated at every submission / start / requeue. Both reach the
+/// policy through the view, so no policy recomputes those sums from the
+/// running set or re-sorts the queue. In debug builds every [`tick`]
+/// cross-checks the index against a from-scratch rebuild and the order
+/// against the queue.
 ///
 /// [`tick`]: PolicyScheduler::tick
 pub struct PolicyScheduler {
@@ -280,10 +282,9 @@ impl PolicyScheduler {
     pub fn view(&self) -> ClusterView<'_> {
         ClusterView {
             node_cpus: self.node_cpus,
-            free: self.index.free(),
             running: &self.running,
-            index: Some(&self.index),
-            order: Some(&self.order),
+            index: &self.index,
+            order: &self.order,
         }
     }
 
@@ -291,10 +292,16 @@ impl PolicyScheduler {
     ///
     /// # Errors
     ///
-    /// [`SlurmError::Unschedulable`] when no node of the cluster can ever
-    /// satisfy the request — accepting such a job would block an FCFS queue
-    /// forever, so submission fails instead of livelocking the scheduler.
+    /// * [`SlurmError::DuplicateJob`] when a job with the same id is already
+    ///   waiting — the admission order keys every waiting job by its id.
+    /// * [`SlurmError::Unschedulable`] when no node of the cluster can ever
+    ///   satisfy the request — accepting such a job would block an FCFS
+    ///   queue forever, so submission fails instead of livelocking the
+    ///   scheduler.
     pub fn submit(&mut self, job: QueuedJob) -> Result<(), SlurmError> {
+        if self.order.position_of(job.id).is_some() {
+            return Err(SlurmError::DuplicateJob { job_id: job.id });
+        }
         if let Err(reason) = self.view().fits_ever(&job) {
             return Err(SlurmError::Unschedulable {
                 job_id: job.id,
@@ -315,8 +322,12 @@ impl PolicyScheduler {
     ///
     /// # Errors
     ///
-    /// [`SlurmError::UnknownJob`] if the job is not running.
+    /// * [`SlurmError::UnknownJob`] if the job is not running.
+    /// * [`SlurmError::DuplicateJob`] if a job with the same id is waiting.
     pub fn requeue(&mut self, job_id: u64) -> Result<(), SlurmError> {
+        if self.order.position_of(job_id).is_some() {
+            return Err(SlurmError::DuplicateJob { job_id });
+        }
         let pos = self
             .running
             .iter()
@@ -391,12 +402,15 @@ impl PolicyScheduler {
             ),
             "event-maintained index diverged from the running set"
         );
+        debug_assert!(
+            self.order.covers(&self.queue),
+            "maintained admission order does not cover the queue exactly"
+        );
         let view = ClusterView {
             node_cpus: self.node_cpus,
-            free: self.index.free(),
             running: &self.running,
-            index: Some(&self.index),
-            order: Some(&self.order),
+            index: &self.index,
+            order: &self.order,
         };
         let actions = self.policy.schedule(&view, &self.queue, now_us);
         let mut applied = Vec::with_capacity(actions.len());
@@ -432,14 +446,11 @@ impl PolicyScheduler {
         now_us: TimeUs,
     ) -> Result<(), SlurmError> {
         let invalid = |reason: String| SlurmError::InvalidAction { job_id, reason };
-        // The admission order doubles as the queue-position lookup; the
-        // mapping is verified (and falls back to a linear scan) so a stale
-        // or corrupt order can reject a valid start only by not finding it.
+        // The admission order doubles as the O(1) queue-position lookup
+        // (the debug oracle in `tick` checks it covers the queue exactly).
         let pos = self
             .order
             .position_of(job_id)
-            .filter(|&p| self.queue.get(p).is_some_and(|j| j.id == job_id))
-            .or_else(|| self.queue.iter().position(|j| j.id == job_id))
             .ok_or_else(|| invalid("start of a job that is not queued".into()))?;
         let job = &self.queue[pos];
         if node_indices.len() != job.nodes {
@@ -679,6 +690,34 @@ mod tests {
             0,
             "impossible jobs never enter the queue"
         );
+    }
+
+    /// A second submission of a waiting id is rejected with a typed error
+    /// and leaves the first one queued: job ids key the admission order, so
+    /// a second entry under one id would shadow the first.
+    #[test]
+    fn policy_scheduler_rejects_a_duplicate_waiting_id() {
+        let mut sched = PolicyScheduler::new(1, 16, Box::new(FirstFitPolicy::default()));
+        sched.submit(QueuedJob::new(1, 1, 16)).unwrap();
+        sched.submit(QueuedJob::new(2, 1, 16)).unwrap();
+        let err = sched
+            .submit(QueuedJob::new(2, 1, 4).with_priority(9))
+            .unwrap_err();
+        assert_eq!(err, SlurmError::DuplicateJob { job_id: 2 });
+        assert_eq!(sched.queue_len(), 2);
+        assert_eq!(sched.admission_order().len(), 2);
+        // Job 1 starts; job 2 keeps its original (16-CPU) request.
+        sched.tick(0).unwrap();
+        assert_eq!(sched.queue().len(), 1);
+        assert_eq!(sched.queue()[0].cpus_per_node, 16);
+        // A requeue must not collide with a waiting id either.
+        sched.submit(QueuedJob::new(1, 1, 8)).unwrap();
+        assert_eq!(
+            sched.requeue(1).unwrap_err(),
+            SlurmError::DuplicateJob { job_id: 1 }
+        );
+        assert_eq!(sched.running().len(), 1, "the running job 1 stays put");
+        assert_eq!(sched.queue_len(), 2);
     }
 
     #[test]

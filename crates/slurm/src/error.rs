@@ -41,6 +41,13 @@ pub enum SlurmError {
         /// Human-readable explanation of the impossible requirement.
         reason: String,
     },
+    /// A job was submitted (or requeued) under the id of a job that is
+    /// already waiting. Job ids key the admission order, so the second
+    /// submission is rejected instead of shadowing the first.
+    DuplicateJob {
+        /// The id submitted twice.
+        job_id: u64,
+    },
     /// A scheduling policy emitted an action the cluster state cannot honour
     /// (overcommitted node, resize outside the job's malleable range, …).
     /// The action is rejected before any state changes.
@@ -72,6 +79,9 @@ impl fmt::Display for SlurmError {
             SlurmError::UnknownJob { job_id } => write!(f, "unknown job {job_id}"),
             SlurmError::Unschedulable { job_id, reason } => {
                 write!(f, "job {job_id} can never be scheduled: {reason}")
+            }
+            SlurmError::DuplicateJob { job_id } => {
+                write!(f, "job {job_id} is already waiting in the queue")
             }
             SlurmError::InvalidAction { job_id, reason } => {
                 write!(f, "invalid scheduler action for job {job_id}: {reason}")
@@ -110,6 +120,9 @@ mod tests {
         };
         assert!(unsched.to_string().contains("never"));
         assert!(unsched.to_string().contains("32"));
+        assert!(SlurmError::DuplicateJob { job_id: 5 }
+            .to_string()
+            .contains("job 5 is already waiting"));
         let err: SlurmError = DromError::NotInitialized.into();
         assert!(matches!(err, SlurmError::Drom(_)));
         assert!(err.to_string().contains("DROM"));

@@ -77,7 +77,7 @@
 //!         queue: &[QueuedJob],
 //!         _now_us: u64,
 //!     ) -> Vec<SchedulerAction> {
-//!         let mut free = view.free.to_vec();
+//!         let mut free = view.free().to_vec();
 //!         let mut actions = Vec::new();
 //!         for job in queue.iter().filter(|j| j.nodes == 1) {
 //!             // Emptiest node first; ties break on the lower index.
@@ -131,8 +131,7 @@ pub use job::{JobSpec, JobState};
 pub use launcher::{LaunchedJob, LaunchedTask, Srun};
 pub use policy::{
     AdmissionOrder, BackfillPolicy, ClusterView, FirstFitPolicy, JobAllocation, MalleablePolicy,
-    MalleableScanPolicy, QueuedJob, RunningJob, SchedIndex, SchedulerAction, SchedulerPolicy,
-    SpeedupCurve,
+    QueuedJob, RunningJob, SchedIndex, SchedulerAction, SchedulerPolicy, SpeedupCurve,
 };
 pub use slurmd::Slurmd;
 pub use stepd::SlurmStepd;

@@ -25,10 +25,12 @@
 //! The [`PolicyScheduler`](crate::PolicyScheduler) applies (and validates)
 //! the returned [`SchedulerAction`]s, so a buggy policy cannot oversubscribe
 //! a node. The scheduler also maintains a [`SchedIndex`] — per-node free /
-//! reclaimable CPUs and donor lists, updated event-by-event — that the
-//! malleable policy reads instead of rescanning the running set, which is
-//! what makes its pass sub-linear in cluster size ([`MalleableScanPolicy`]
-//! preserves the pre-index reference for differential tests and benches).
+//! reclaimable CPUs and donor lists, updated event-by-event — and an
+//! [`AdmissionOrder`] over the queue; every [`ClusterView`] carries both, so
+//! each policy has exactly one production path, and the malleable pass never
+//! rescans the running set, which is what makes it sub-linear in cluster
+//! size. The reference implementations those paths replaced live in
+//! [`oracle`], for differential tests and benches only.
 //! `docs/scheduling.md` documents the exact semantics of each policy, the
 //! complexity budget, and how a shrink composes with the registry's
 //! pending-mask rules.
@@ -40,6 +42,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use drom_metrics::TimeUs;
 
 use crate::job::JobSpec;
+
+pub mod oracle;
 
 /// Fixed-point speedup curve of one job: how fast the job progresses at each
 /// per-node width, relative to its full request width.
@@ -412,38 +416,42 @@ pub enum SchedulerAction {
 }
 
 /// Read-only cluster state handed to a policy: homogeneous node capacity,
-/// free CPUs per node and every running job.
+/// every running job, and the driver's event-maintained [`SchedIndex`] and
+/// [`AdmissionOrder`].
+///
+/// [`PolicyScheduler`](crate::PolicyScheduler) builds its view from the
+/// index and order it updates at every event. A view built anywhere else
+/// (tests, benches) uses [`SchedIndex::rebuild`] and
+/// [`AdmissionOrder::from_queue`], which derive the same state from scratch.
+/// Free CPUs have one source, [`free`](Self::free), read off the index.
 #[derive(Debug)]
 pub struct ClusterView<'a> {
     /// CPUs per node (the cluster is homogeneous, like the paper's).
     pub node_cpus: usize,
-    /// Free CPUs on each node, indexed by node.
-    pub free: &'a [usize],
     /// Every running job with its current allocation.
     pub running: &'a [RunningJob],
-    /// The incrementally maintained availability index, when the driver keeps
-    /// one ([`PolicyScheduler`](crate::PolicyScheduler) always does). `None`
-    /// for hand-built views; policies that use the index fall back to a
-    /// one-shot rebuild from `running`, so decisions are identical either way
-    /// — the index only removes the per-pass recomputation cost.
-    pub index: Option<&'a SchedIndex>,
-    /// The incrementally maintained admission order over the queue, when the
-    /// driver keeps one ([`PolicyScheduler`](crate::PolicyScheduler) always
-    /// does). `None` for hand-built views; policies fall back to a one-shot
-    /// `queue_order` sort, so decisions are identical either way — the
-    /// maintained order only removes the per-pass O(queue log queue) sort.
-    pub order: Option<&'a AdmissionOrder>,
+    /// Per-node free / reclaimable CPUs, donor lists and the release
+    /// timeline over `running`.
+    pub index: &'a SchedIndex,
+    /// The admission order over the queue handed to
+    /// [`SchedulerPolicy::schedule`] alongside this view.
+    pub order: &'a AdmissionOrder,
 }
 
-impl ClusterView<'_> {
+impl<'a> ClusterView<'a> {
+    /// Free CPUs on each node, indexed by node.
+    pub fn free(&self) -> &'a [usize] {
+        self.index.free()
+    }
+
     /// Number of nodes in the cluster.
     pub fn num_nodes(&self) -> usize {
-        self.free.len()
+        self.free().len()
     }
 
     /// Total free CPUs across the cluster.
     pub fn total_free(&self) -> usize {
-        self.free.iter().sum()
+        self.free().iter().sum()
     }
 
     /// Checks that `job` could start if every CPU of the cluster were free.
@@ -751,9 +759,10 @@ impl SchedIndex {
         Self::rebuild(&free, running)
     }
 
-    /// Rebuilds the index from a free vector and the running jobs — the
-    /// one-shot fallback for hand-built views (where the view's free vector
-    /// is the source of truth).
+    /// Rebuilds the index from a free vector and the running jobs — how a
+    /// [`ClusterView`] is built outside a
+    /// [`PolicyScheduler`](crate::PolicyScheduler) (tests, benches), with
+    /// the given free vector as the source of truth.
     // ALLOC(pass): O(nodes) full rebuild — per-node columns, donor lists and
     // the release timeline from scratch; the incremental on_* path exists so
     // steady-state ticks never pay this.
@@ -809,6 +818,8 @@ impl SchedIndex {
 
     /// Ids of the running malleable jobs holding CPUs on `node`, in start
     /// order.
+    // PANIC: callers pass node indices below the cluster's node count, the
+    // length of every per-node column.
     pub fn donors(&self, node: usize) -> &[u64] {
         &self.donors[node]
     }
@@ -967,25 +978,9 @@ pub trait SchedulerPolicy: Send {
     ) -> Vec<SchedulerAction>;
 }
 
-/// Queue order shared by all built-in policies: priority (desc), submission
-/// time, id.
-///
-/// This is the **reference sort**: it collects and sorts a fresh
-/// `Vec<&QueuedJob>` on every call, O(queue log queue) per pass. The
-/// production policies walk the driver's maintained [`AdmissionOrder`]
-/// instead (via [`admission_iter`]); the scan references and hand-built
-/// views keep this one so the two stay differentially testable.
-// ALLOC(pass): O(queue) admission ordering; the trusted incremental index
-// order is borrowed instead when the view carries one.
-fn queue_order(queue: &[QueuedJob]) -> Vec<&QueuedJob> {
-    let mut ordered: Vec<&QueuedJob> = queue.iter().collect();
-    ordered.sort_by_key(|j| (std::cmp::Reverse(j.priority), j.submit_us, j.id));
-    ordered
-}
-
-/// The admission key: priority (desc), submission time, id — identical to
-/// the `queue_order` sort key. The id component makes the key total and
-/// unique per job, so the ordered map below never collides.
+/// The admission key shared by all built-in policies: priority (desc),
+/// submission time, id. The id component makes the key total and unique
+/// per job, so the ordered map below never collides.
 type AdmissionKey = (std::cmp::Reverse<u32>, TimeUs, u64);
 
 fn admission_key(job: &QueuedJob) -> AdmissionKey {
@@ -993,24 +988,22 @@ fn admission_key(job: &QueuedJob) -> AdmissionKey {
 }
 
 /// Incrementally maintained admission order over the waiting queue:
-/// an ordered map from `queue_order`'s exact sort key —
+/// an ordered map from the admission key —
 /// `(Reverse(priority), submit_us, id)` — to the job's position in the
 /// driver's queue vector.
 ///
 /// The key of a waiting job is invariant between submission and
 /// admission/requeue (priority and submit time never change while it
 /// waits), so the order is maintained in O(log queue) per queue **event**
-/// (submit / admitted start / requeue) and a scheduling pass never pays the
-/// O(queue log queue) re-sort: it walks [`positions`](Self::positions) —
-/// exactly the `queue_order` sequence. The mapped positions let the
-/// driver store its queue as an unordered `Vec` (and remove admitted jobs
-/// with a `swap_remove` + one [`set_pos`](Self::set_pos) fixup).
+/// (submit / admitted start / requeue) and a scheduling pass never pays an
+/// O(queue log queue) sort: it walks [`positions`](Self::positions), which
+/// come out sorted by construction. The mapped positions let the driver
+/// store its queue as an unordered `Vec` (and remove admitted jobs with a
+/// `swap_remove` + one [`set_pos`](Self::set_pos) fixup).
 ///
 /// [`PolicyScheduler`](crate::PolicyScheduler) owns one next to its
-/// [`SchedIndex`] and hands it to policies through
-/// [`ClusterView::order`]; policies trust it only when its size matches the
-/// queue (see `trusted_order`), falling back to the reference sort
-/// otherwise, so hand-built views keep byte-identical decisions.
+/// [`SchedIndex`] and hands it to policies through [`ClusterView::order`];
+/// in debug builds every tick checks that it covers the queue exactly.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AdmissionOrder {
     by_key: BTreeMap<AdmissionKey, usize>,
@@ -1021,6 +1014,18 @@ impl AdmissionOrder {
     /// An empty order.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The order over `queue`, each job tracked at its index — how a
+    /// [`ClusterView`] is built outside a
+    /// [`PolicyScheduler`](crate::PolicyScheduler) (tests, benches).
+    /// Job ids must be distinct, as [`insert`](Self::insert) requires.
+    pub fn from_queue(queue: &[QueuedJob]) -> Self {
+        let mut order = Self::new();
+        for (pos, job) in queue.iter().enumerate() {
+            order.insert(job, pos);
+        }
+        order
     }
 
     /// Number of tracked jobs.
@@ -1035,10 +1040,12 @@ impl AdmissionOrder {
 
     /// Tracks `job`, stored at position `pos` of the driver's queue vector.
     ///
-    /// Re-inserting an id drops its stale entry first, leaving the two maps
-    /// out of step with a queue that still holds both copies — which the
-    /// size-based trust check then rejects, so a corrupt driver degrades to
-    /// the reference sort instead of a wrong order.
+    /// Each id is tracked at most once: re-inserting a tracked id replaces
+    /// its entry, dropping the older key and position. The driver never
+    /// does that — [`PolicyScheduler`](crate::PolicyScheduler) rejects an
+    /// id that is already waiting with
+    /// [`SlurmError::DuplicateJob`](crate::SlurmError::DuplicateJob) before
+    /// it inserts.
     pub fn insert(&mut self, job: &QueuedJob, pos: usize) {
         let key = admission_key(job);
         if let Some(stale) = self.key_by_id.insert(job.id, key) {
@@ -1068,125 +1075,33 @@ impl AdmissionOrder {
         self.by_key.get(self.key_by_id.get(&job_id)?).copied()
     }
 
-    /// Queue positions in admission order — the `queue_order` sequence
-    /// without the sort.
+    /// Queue positions in admission order.
     pub fn positions(&self) -> impl Iterator<Item = usize> + '_ {
         self.by_key.values().copied()
     }
-}
 
-/// The driver's maintained admission order, when the view carries one whose
-/// size matches the queue (a mismatch means it belongs to some other queue
-/// state — or an id collision corrupted it — and must be ignored). The
-/// debug oracle checks the maintained sequence against the reference sort
-/// job by job.
-fn trusted_order<'a>(view: &ClusterView<'a>, queue: &[QueuedJob]) -> Option<&'a AdmissionOrder> {
-    let order = view
-        .order
-        .filter(|o| o.by_key.len() == queue.len() && o.key_by_id.len() == queue.len())?;
-    debug_assert!(
-        order
-            .by_key
-            .iter()
-            .zip(queue_order(queue))
-            .all(|((&(_, _, id), &pos), expected)| {
-                expected.id == id && queue.get(pos).is_some_and(|j| j.id == id)
-            }),
-        "maintained admission order diverged from the reference sort"
-    );
-    Some(order)
-}
-
-/// The admission-order walk of one scheduling pass: the maintained
-/// [`AdmissionOrder`] when the view carries a trusted one (no allocation,
-/// no sort), the `queue_order` reference sort otherwise. Either way the
-/// jobs come out in exactly the `(Reverse(priority), submit_us, id)`
-/// sequence.
-enum AdmissionIter<'q, 'a> {
-    Indexed(
-        std::collections::btree_map::Values<'a, AdmissionKey, usize>,
-        &'q [QueuedJob],
-    ),
-    Sorted(std::vec::IntoIter<&'q QueuedJob>),
-}
-
-impl<'q> Iterator for AdmissionIter<'q, '_> {
-    type Item = &'q QueuedJob;
-
-    // PANIC: indexed positions come from the admission order built over this
-    // exact queue.
-    fn next(&mut self) -> Option<&'q QueuedJob> {
-        match self {
-            AdmissionIter::Indexed(positions, queue) => positions.next().map(|&pos| &queue[pos]),
-            AdmissionIter::Sorted(ordered) => ordered.next(),
-        }
+    /// The jobs of `queue` — the queue this order was maintained over — in
+    /// admission order: one scheduling pass's walk, with no sort and no
+    /// allocation.
+    pub(crate) fn jobs<'s, 'q: 's>(
+        &'s self,
+        queue: &'q [QueuedJob],
+    ) -> impl Iterator<Item = &'q QueuedJob> + 's {
+        self.by_key.values().filter_map(|&pos| queue.get(pos))
     }
-}
 
-fn admission_iter<'q, 'a>(view: &ClusterView<'a>, queue: &'q [QueuedJob]) -> AdmissionIter<'q, 'a> {
-    match trusted_order(view, queue) {
-        Some(order) => AdmissionIter::Indexed(order.by_key.values(), queue),
-        None => AdmissionIter::Sorted(queue_order(queue).into_iter()),
+    /// `true` when the order tracks exactly the jobs of `queue`: one entry
+    /// per job, each keyed by the job's current admission key and mapping
+    /// to the position that holds it. The controller's debug oracle.
+    pub(crate) fn covers(&self, queue: &[QueuedJob]) -> bool {
+        self.by_key.len() == queue.len()
+            && self.key_by_id.len() == queue.len()
+            && self.by_key.iter().all(|(key, &pos)| {
+                queue.get(pos).is_some_and(|job| {
+                    admission_key(job) == *key && self.key_by_id.get(&job.id) == Some(key)
+                })
+            })
     }
-}
-
-/// One allocation holding CPUs until an (optionally) estimated end time —
-/// the input of the reservation forecast shared by backfill and malleable.
-struct Holder<'a> {
-    end_us: Option<TimeUs>,
-    node_indices: &'a [usize],
-    width: usize,
-}
-
-/// Earliest time ≥ `now_us` at which a `nodes × width` allocation fits,
-/// replaying the holders' expected releases onto a copy of `free`. Returns
-/// the time and the node set; `None` when the fit is never provable (a
-/// holder on needed CPUs has no completion estimate).
-///
-/// This is the **reference replay**: it re-sorts the holders and probes a
-/// first-fit per candidate instant, O(holders log holders + candidates ×
-/// nodes) per forecast. The production forecast is
-/// [`earliest_timeline_fit`], which walks a maintained [`ReleaseTimeline`]
-/// instead; [`MalleableScanPolicy`] and the oracle tests keep this one so
-/// the two stay differentially testable.
-// ALLOC(pass): O(nodes) scratch free vector per reservation probe.
-// PANIC: timeline deltas index nodes within the scratch vector they were
-// recorded for; the eligibility count is exact before `fit_first` runs.
-fn earliest_release_fit(
-    nodes: usize,
-    width: usize,
-    free: &[usize],
-    holders: &[Holder<'_>],
-    now_us: TimeUs,
-) -> Option<(TimeUs, Vec<usize>)> {
-    if let Some(found) = fit_first(free, nodes, width) {
-        return Some((now_us, found));
-    }
-    // Walk the holders once in end order, releasing each exactly when the
-    // replay clock passes its estimate; candidate fit instants are the
-    // distinct future ends. Holders whose estimate is already overdue
-    // (end ≤ now) release at the first future candidate, like the full
-    // replay did.
-    let mut by_end: Vec<&Holder<'_>> = holders.iter().filter(|h| h.end_us.is_some()).collect();
-    by_end.sort_by_key(|h| h.end_us);
-    let mut free_at = free.to_vec();
-    let mut i = 0;
-    while i < by_end.len() {
-        let t = by_end[i].end_us.expect("filtered to estimated holders");
-        while i < by_end.len() && by_end[i].end_us.is_some_and(|e| e <= t) {
-            for &n in by_end[i].node_indices {
-                free_at[n] += by_end[i].width;
-            }
-            i += 1;
-        }
-        if t <= now_us {
-            continue; // overdue estimate: not a candidate start instant
-        }
-        if let Some(found) = fit_first(&free_at, nodes, width) {
-            return Some((t, found));
-        }
-    }
-    None
 }
 
 /// One pass-local adjustment layered over a base [`ReleaseTimeline`] during
@@ -1200,10 +1115,10 @@ struct TimelineDelta<'a> {
 }
 
 /// Earliest time ≥ `now_us` at which a `nodes × width` allocation fits:
-/// the [`earliest_release_fit`] forecast computed by walking a maintained
-/// [`ReleaseTimeline`] (plus a sorted pass-local `overlay`) with a running
-/// count of nodes at ≥ `width` free CPUs, instead of sorting the holders
-/// and probing a first-fit per candidate instant.
+/// the `oracle::earliest_release_fit` forecast computed by walking a
+/// maintained [`ReleaseTimeline`] (plus a sorted pass-local `overlay`) with
+/// a running count of nodes at ≥ `width` free CPUs, instead of sorting the
+/// holders and probing a first-fit per candidate instant.
 ///
 /// Decision equivalence with the replay, instant by instant: the candidate
 /// instants are the distinct estimated ends (base keys ∪ overlay ends —
@@ -1279,58 +1194,19 @@ fn earliest_timeline_fit(
     }
 }
 
-/// A one-shot [`ReleaseTimeline`] over `running` — the fallback when the
-/// view carries no trustworthy driver index (hand-built views). The walk
-/// code is shared, so decisions are identical either way.
-fn timeline_from_running(running: &[RunningJob]) -> ReleaseTimeline {
-    let mut timeline = ReleaseTimeline::new();
-    for r in running {
-        timeline.add(
-            r.alloc.job_id,
-            &r.alloc.node_indices,
-            r.alloc.cpus_per_node,
-            r.expected_end_us,
-        );
-    }
-    timeline
-}
-
-/// The driver's event-maintained index, when the view carries one that
-/// matches the view's free vector (a mismatch means the index belongs to
-/// some other state and must be ignored). Shared trust guard of every
-/// indexed policy path; the debug oracle re-derives the whole index — the
-/// release timeline included — from the running set.
-fn trusted_index<'a>(view: &ClusterView<'a>) -> Option<&'a SchedIndex> {
-    let index = view.index.filter(|i| i.free() == view.free)?;
-    debug_assert_eq!(
-        *index,
-        SchedIndex::rebuild(view.free, view.running),
-        "event-maintained index diverged from the running set"
-    );
-    Some(index)
-}
-
-/// How a policy treats its probe memo — the dirty-tracked re-probe skip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum Probing {
-    /// Production: skip re-probing a waiting job whose recorded failure
-    /// signature is provably still valid (no width class it needs gained
-    /// nodes since the probe failed).
-    #[default]
-    DirtyTracked,
-    /// Conservative mode: never skip a probe. The byte-identical replay
-    /// surface the differential battery compares against.
-    AlwaysProbe,
-    /// TEST ONLY — the "missed release" hazard: trust any recorded
-    /// signature, ignoring the generations entirely.
-    #[cfg(test)]
-    UnsoundStaleSkip,
-    /// TEST ONLY — the "widened skip" hazard (backfill): on a memo-valid
-    /// blocked head, keep admitting FCFS followers instead of stopping,
-    /// letting a later candidate leapfrog the head without the
-    /// end-before-reservation proof.
-    #[cfg(test)]
-    UnsoundSkipContinues,
+/// TEST ONLY — a deliberately unsound probe-memo mode that reintroduces one
+/// of the hazards the dirty tracking exists to prevent.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Hazard {
+    /// The "missed release" hazard: trust any recorded signature, ignoring
+    /// the generations entirely.
+    StaleSkip,
+    /// The "widened skip" hazard (backfill): on a memo-valid blocked head,
+    /// keep admitting FCFS followers instead of stopping, letting a later
+    /// candidate leapfrog the head without the end-before-reservation
+    /// proof.
+    SkipContinues,
 }
 
 /// One recorded probe failure: the dirty generations of the width classes
@@ -1529,26 +1405,18 @@ fn fit_first(free: &[usize], nodes: usize, width: usize) -> Option<Vec<usize>> {
 /// head blocks exactly as before, so the skip is decision-identical.
 #[derive(Debug, Default, Clone)]
 pub struct FirstFitPolicy {
-    probing: Probing,
     memo: ProbeMemo,
+    #[cfg(test)]
+    hazard: Option<Hazard>,
 }
 
 impl FirstFitPolicy {
-    /// The conservative variant that never skips a probe — the
-    /// byte-identical differential surface for the dirty-tracked default.
-    pub fn always_probe() -> Self {
-        FirstFitPolicy {
-            probing: Probing::AlwaysProbe,
-            memo: ProbeMemo::default(),
-        }
-    }
-
     /// TEST ONLY: trusts stale signatures (hazard: a missed release).
     #[cfg(test)]
     fn unsound_stale_skip() -> Self {
         FirstFitPolicy {
-            probing: Probing::UnsoundStaleSkip,
             memo: ProbeMemo::default(),
+            hazard: Some(Hazard::StaleSkip),
         }
     }
 }
@@ -1566,26 +1434,19 @@ impl SchedulerPolicy for FirstFitPolicy {
         queue: &[QueuedJob],
         _now_us: TimeUs,
     ) -> Vec<SchedulerAction> {
-        let memo_ix = match self.probing {
-            Probing::AlwaysProbe => None,
-            _ => trusted_index(view),
-        };
-        if let Some(index) = memo_ix {
-            self.memo.sync_epoch(index.epoch());
-        }
+        let index = view.index;
+        self.memo.sync_epoch(index.epoch());
         #[cfg(test)]
-        let ignore_gens = matches!(self.probing, Probing::UnsoundStaleSkip);
+        let ignore_gens = self.hazard == Some(Hazard::StaleSkip);
         #[cfg(not(test))]
         let ignore_gens = false;
         // Borrowed until the first start: a fully blocked pass (the common
         // case under load) allocates nothing at all.
-        let mut free: Cow<'_, [usize]> = Cow::Borrowed(view.free);
+        let mut free: Cow<'_, [usize]> = Cow::Borrowed(view.free());
         let mut actions = Vec::new();
-        for job in admission_iter(view, queue) {
-            if let Some(index) = memo_ix {
-                if self.memo.still_blocked(job, index, None, ignore_gens) {
-                    break; // provably still the blocked head
-                }
+        for job in view.order.jobs(queue) {
+            if self.memo.still_blocked(job, index, None, ignore_gens) {
+                break; // provably still the blocked head
             }
             match fit_first(&free, job.nodes, job.cpus_per_node) {
                 Some(node_indices) => {
@@ -1593,9 +1454,7 @@ impl SchedulerPolicy for FirstFitPolicy {
                     for &idx in &node_indices {
                         free[idx] -= job.cpus_per_node;
                     }
-                    if memo_ix.is_some() {
-                        self.memo.forget(job.id);
-                    }
+                    self.memo.forget(job.id);
                     actions.push(SchedulerAction::Start {
                         job_id: job.id,
                         node_indices,
@@ -1603,14 +1462,12 @@ impl SchedulerPolicy for FirstFitPolicy {
                     });
                 }
                 None => {
-                    if let Some(index) = memo_ix {
-                        // The failure is count-proven (fit_first is exact),
-                        // and this pass's own starts only lowered free CPUs,
-                        // so the recorded generation over-approximates the
-                        // blocked state — sound to skip on while unchanged.
-                        self.memo
-                            .record(job.id, index.free_gen(job.cpus_per_node), None);
-                    }
+                    // The failure is count-proven (fit_first is exact), and
+                    // this pass's own starts only lowered free CPUs, so the
+                    // recorded generation over-approximates the blocked
+                    // state — sound to skip on while unchanged.
+                    self.memo
+                        .record(job.id, index.free_gen(job.cpus_per_node), None);
                     break;
                 }
             }
@@ -1638,27 +1495,19 @@ impl SchedulerPolicy for FirstFitPolicy {
 /// count failure would be.
 #[derive(Debug, Default, Clone)]
 pub struct BackfillPolicy {
-    probing: Probing,
     memo: ProbeMemo,
+    #[cfg(test)]
+    hazard: Option<Hazard>,
 }
 
 impl BackfillPolicy {
-    /// The conservative variant that never skips a probe — the
-    /// byte-identical differential surface for the dirty-tracked default.
-    pub fn always_probe() -> Self {
-        BackfillPolicy {
-            probing: Probing::AlwaysProbe,
-            memo: ProbeMemo::default(),
-        }
-    }
-
     /// TEST ONLY: on a memo-valid blocked head, keeps admitting followers
     /// (hazard: a stale-signature candidate leapfrogs the EASY head).
     #[cfg(test)]
     fn unsound_skip_continues() -> Self {
         BackfillPolicy {
-            probing: Probing::UnsoundSkipContinues,
             memo: ProbeMemo::default(),
+            hazard: Some(Hazard::SkipContinues),
         }
     }
 }
@@ -1668,8 +1517,8 @@ impl SchedulerPolicy for BackfillPolicy {
         "backfill"
     }
 
-    // ALLOC(pass): backfill working set — queue order, shadow free vector and
-    // reservation mask are rebuilt per pass.
+    // ALLOC(pass): backfill working set — shadow free vector, started-job
+    // list and timeline overlay are rebuilt per pass.
     // PANIC: reservation and fit indices stay within the shadow free vector.
     fn schedule(
         &mut self,
@@ -1677,30 +1526,24 @@ impl SchedulerPolicy for BackfillPolicy {
         queue: &[QueuedJob],
         now_us: TimeUs,
     ) -> Vec<SchedulerAction> {
-        let memo_ix = match self.probing {
-            Probing::AlwaysProbe => None,
-            _ => trusted_index(view),
-        };
-        if let Some(index) = memo_ix {
-            self.memo.sync_epoch(index.epoch());
-        }
+        let index = view.index;
+        self.memo.sync_epoch(index.epoch());
         #[cfg(test)]
-        let ignore_gens = matches!(self.probing, Probing::UnsoundStaleSkip);
+        let (ignore_gens, continue_past_head) = (
+            self.hazard == Some(Hazard::StaleSkip),
+            self.hazard == Some(Hazard::SkipContinues),
+        );
         #[cfg(not(test))]
-        let ignore_gens = false;
-        #[cfg(test)]
-        let continue_past_head = matches!(self.probing, Probing::UnsoundSkipContinues);
-        #[cfg(not(test))]
-        let continue_past_head = false;
-        let mut free = view.free.to_vec();
+        let (ignore_gens, continue_past_head) = (false, false);
+        let mut free = view.free().to_vec();
         // Exact per-pass reject guard: a fit at `width` exists iff enough
         // nodes carry ≥ `width` free CPUs, so a failed count skips the
         // O(nodes) probe without changing any decision.
         let mut hist = FreeHist::new(&free, view.node_cpus, |_| true);
         let mut actions = Vec::new();
         // Only the jobs this very call starts are tracked here — the running
-        // jobs' releases come off the release timeline below, so the pass no
-        // longer clones every running allocation up front.
+        // jobs' releases come off the release timeline below, so the pass
+        // never clones the running allocations.
         let mut started: Vec<(Option<TimeUs>, Vec<usize>, usize)> = Vec::new();
         let start = |job: &QueuedJob,
                      node_indices: Vec<usize>,
@@ -1723,17 +1566,15 @@ impl SchedulerPolicy for BackfillPolicy {
                 cpus_per_node: job.cpus_per_node,
             });
         };
-        let mut ordered = admission_iter(view, queue);
+        let mut ordered = view.order.jobs(queue);
         let mut head = None;
         for job in ordered.by_ref() {
-            if let Some(index) = memo_ix {
-                if self.memo.still_blocked(job, index, None, ignore_gens) {
-                    if continue_past_head {
-                        continue; // TEST ONLY: the widened-skip hazard
-                    }
-                    head = Some(job); // still blocked: FCFS phase ends here
-                    break;
+            if self.memo.still_blocked(job, index, None, ignore_gens) {
+                if continue_past_head {
+                    continue; // TEST ONLY: the widened-skip hazard
                 }
+                head = Some(job); // still blocked: FCFS phase ends here
+                break;
             }
             let fit = if hist.count_ge(job.cpus_per_node) >= job.nodes {
                 fit_first(&free, job.nodes, job.cpus_per_node)
@@ -1742,9 +1583,7 @@ impl SchedulerPolicy for BackfillPolicy {
             };
             match fit {
                 Some(node_indices) => {
-                    if memo_ix.is_some() {
-                        self.memo.forget(job.id);
-                    }
+                    self.memo.forget(job.id);
                     start(
                         job,
                         node_indices,
@@ -1755,12 +1594,10 @@ impl SchedulerPolicy for BackfillPolicy {
                     );
                 }
                 None => {
-                    if let Some(index) = memo_ix {
-                        // Count-proven: the guard and fit_first agree
-                        // exactly, and this pass only lowered free CPUs.
-                        self.memo
-                            .record(job.id, index.free_gen(job.cpus_per_node), None);
-                    }
+                    // Count-proven: the guard and fit_first agree exactly,
+                    // and this pass only lowered free CPUs.
+                    self.memo
+                        .record(job.id, index.free_gen(job.cpus_per_node), None);
                     head = Some(job);
                     break;
                 }
@@ -1770,16 +1607,8 @@ impl SchedulerPolicy for BackfillPolicy {
             return actions;
         };
         // Reserve the head job's start at the earliest provable fit: walk
-        // the maintained release timeline (or a one-shot rebuild for
-        // hand-built views) overlaid with this pass's own starts.
-        let one_shot;
-        let timeline = match trusted_index(view) {
-            Some(index) => index.timeline(),
-            None => {
-                one_shot = timeline_from_running(view.running);
-                &one_shot
-            }
-        };
+        // the maintained release timeline overlaid with this pass's own
+        // starts.
         let mut overlay: Vec<TimelineDelta<'_>> = started
             .iter()
             .filter_map(|(end, node_indices, width)| {
@@ -1795,7 +1624,7 @@ impl SchedulerPolicy for BackfillPolicy {
             head.nodes,
             head.cpus_per_node,
             &free,
-            timeline,
+            index.timeline(),
             &overlay,
             now_us,
         ) else {
@@ -1813,22 +1642,16 @@ impl SchedulerPolicy for BackfillPolicy {
             // cannot be memoized) and replaces only the count/fit probe — a
             // memo-valid candidate is passed over exactly like a re-probed
             // count failure, so the outcome is identical either way.
-            if let Some(index) = memo_ix {
-                if self.memo.still_blocked(job, index, None, ignore_gens) {
-                    continue;
-                }
+            if self.memo.still_blocked(job, index, None, ignore_gens) {
+                continue;
             }
             if hist.count_ge(job.cpus_per_node) < job.nodes {
-                if let Some(index) = memo_ix {
-                    self.memo
-                        .record(job.id, index.free_gen(job.cpus_per_node), None);
-                }
+                self.memo
+                    .record(job.id, index.free_gen(job.cpus_per_node), None);
                 continue; // exact reject: no fit exists, skip the probe
             }
             if let Some(node_indices) = fit_first(&free, job.nodes, job.cpus_per_node) {
-                if memo_ix.is_some() {
-                    self.memo.forget(job.id);
-                }
+                self.memo.forget(job.id);
                 start(
                     job,
                     node_indices,
@@ -1890,7 +1713,7 @@ impl SchedulerPolicy for BackfillPolicy {
 /// donor list, availability reads the per-node free + reclaimable summary,
 /// and the one reservation mask of the pass is shared by every admission
 /// attempt. One pass is O(running + queue × nodes) instead of the reference
-/// scan's O(queue × nodes × running) — see [`MalleableScanPolicy`] and
+/// scan's O(queue × nodes × running) — see [`oracle::MalleableScanPolicy`] and
 /// `docs/scheduling.md` for the measured difference.
 #[derive(Debug, Clone)]
 pub struct MalleablePolicy {
@@ -1900,17 +1723,14 @@ pub struct MalleablePolicy {
     /// strict `gain ≥ loss` rule; a larger tolerance trades aggregate
     /// throughput for admitting (and thus responding to) more jobs sooner.
     loss_tolerance_fp: u64,
-    probing: Probing,
     memo: ProbeMemo,
+    #[cfg(test)]
+    hazard: Option<Hazard>,
 }
 
 impl Default for MalleablePolicy {
     fn default() -> Self {
-        MalleablePolicy {
-            loss_tolerance_fp: SpeedupCurve::FP,
-            probing: Probing::DirtyTracked,
-            memo: ProbeMemo::default(),
-        }
+        Self::with_loss_tolerance(SpeedupCurve::FP)
     }
 }
 
@@ -1921,16 +1741,9 @@ impl MalleablePolicy {
     pub fn with_loss_tolerance(tolerance_fp: u64) -> Self {
         MalleablePolicy {
             loss_tolerance_fp: tolerance_fp,
-            ..Self::default()
-        }
-    }
-
-    /// The conservative variant that never skips a probe — the
-    /// byte-identical differential surface for the dirty-tracked default.
-    pub fn always_probe() -> Self {
-        MalleablePolicy {
-            probing: Probing::AlwaysProbe,
-            ..Self::default()
+            memo: ProbeMemo::default(),
+            #[cfg(test)]
+            hazard: None,
         }
     }
 
@@ -1938,7 +1751,7 @@ impl MalleablePolicy {
     #[cfg(test)]
     fn unsound_stale_skip() -> Self {
         MalleablePolicy {
-            probing: Probing::UnsoundStaleSkip,
+            hazard: Some(Hazard::StaleSkip),
             ..Self::default()
         }
     }
@@ -2060,10 +1873,8 @@ pub(crate) fn scaled_duration(duration_us: TimeUs, request: usize, width: usize)
 /// positions of the malleable jobs holding CPUs there), every one maintained
 /// incrementally as the pass shrinks victims and admits jobs.
 ///
-/// Seeded from the driver's event-maintained [`SchedIndex`] when the view
-/// carries one, or rebuilt from `running` in one O(running) sweep when it
-/// does not (hand-built views, benches). Either way the pass itself never
-/// rescans all running jobs per node again — victim selection reads
+/// Seeded from the view's event-maintained [`SchedIndex`], so the pass never
+/// rescans the running jobs per node — victim selection reads
 /// `donors[node]`, availability reads `free[node] + reclaim[node]`.
 struct PassState<'a> {
     node_cpus: usize,
@@ -2072,11 +1883,9 @@ struct PassState<'a> {
     cheap: Vec<usize>,
     donors: Vec<Vec<usize>>,
     slots: Vec<Slot<'a>>,
-    /// The driver's maintained release timeline, when the view's index is
-    /// trusted — the drain-reservation forecast walks it directly instead of
-    /// replaying every slot (hand-built views fall back to a one-shot
-    /// rebuild from the slots).
-    base_timeline: Option<&'a ReleaseTimeline>,
+    /// The index's release timeline at pass start — the drain-reservation
+    /// forecast walks it with this pass's own changes overlaid.
+    timeline: &'a ReleaseTimeline,
     /// Per-value histograms of free and free+reclaimable CPUs — the exact
     /// reject guards that let admission attempts skip O(nodes) probes. The
     /// `open_*` pair is restricted to non-reserved nodes; until
@@ -2088,10 +1897,6 @@ struct PassState<'a> {
     open_avail_hist: FreeHist,
     /// Number of non-reserved nodes (all of them until a reservation lands).
     open_nodes: usize,
-    /// The trusted driver index behind this pass (`None` for hand-built
-    /// views) — resolved once here so the probe memo and the timeline reuse
-    /// the same trust decision.
-    index: Option<&'a SchedIndex>,
     /// In-pass dirty counters, mirroring [`SchedIndex::free_gen`] for the
     /// pass-local free vector: `raised[w]` counts the upward crossings into
     /// width class `w` this pass's own shrinks caused. A memo skip is valid
@@ -2112,11 +1917,12 @@ struct PassState<'a> {
 
 impl<'a> PassState<'a> {
     // ALLOC(pass): the O(nodes) pass seeding ROADMAP names as the next perf
-    // wall — clones the view's free vector, reclaim/cheap columns, donor
+    // wall — clones the index's free, reclaim and cheap columns, donor
     // lists and slot table every pass; the work-list is a reusable scratch
     // arena so steady-state passes stop paying this.
     // PANIC: seeded vectors index nodes of the fixed cluster size.
     fn new(view: &ClusterView<'a>) -> Self {
+        let index = view.index;
         let slots: Vec<Slot<'a>> = view
             .running
             .iter()
@@ -2133,75 +1939,50 @@ impl<'a> PassState<'a> {
                 reserved_overlap: false,
             })
             .collect();
-        let mut state = PassState {
+        let free = view.free().to_vec();
+        let reclaim = index.reclaim().to_vec();
+        let cheap = index.cheap().to_vec();
+        let mut donors = vec![Vec::new(); free.len()];
+        // The id → slot-position map costs O(running) hashing, so it is
+        // built only on the first node that actually lists donors (a
+        // rigid-heavy cluster skips it entirely).
+        let mut by_id: Option<HashMap<u64, usize>> = None;
+        for (node, donors) in donors.iter_mut().enumerate() {
+            let ids = index.donors(node);
+            if ids.is_empty() {
+                continue;
+            }
+            let by_id = by_id.get_or_insert_with(|| {
+                slots
+                    .iter()
+                    .enumerate()
+                    .map(|(i, s)| (s.job_id, i))
+                    .collect()
+            });
+            // Donor ids are kept in running order, so the mapped slot
+            // positions come out ascending — the tie-break order the
+            // reference scan uses.
+            donors.extend(ids.iter().map(|id| by_id[id]));
+        }
+        let avail: Vec<usize> = free.iter().zip(&reclaim).map(|(f, r)| f + r).collect();
+        let free_hist = FreeHist::new(&free, view.node_cpus, |_| true);
+        let avail_hist = FreeHist::new(&avail, view.node_cpus, |_| true);
+        PassState {
             node_cpus: view.node_cpus,
-            free: view.free.to_vec(),
-            reclaim: vec![0; view.free.len()],
-            cheap: vec![0; view.free.len()],
-            donors: vec![Vec::new(); view.free.len()],
+            open_free_hist: free_hist.clone(),
+            open_avail_hist: avail_hist.clone(),
+            free_hist,
+            avail_hist,
+            open_nodes: free.len(),
+            free,
+            reclaim,
+            cheap,
+            donors,
             slots,
-            base_timeline: None,
-            free_hist: FreeHist { counts: Vec::new() },
-            avail_hist: FreeHist { counts: Vec::new() },
-            open_free_hist: FreeHist { counts: Vec::new() },
-            open_avail_hist: FreeHist { counts: Vec::new() },
-            open_nodes: view.free.len(),
-            index: trusted_index(view),
+            timeline: index.timeline(),
             raised: vec![0; view.node_cpus + 1],
             plain_avail: None,
-        };
-        // Prefer the driver's event-maintained index; `free` must agree or
-        // the index belongs to some other state and is ignored.
-        if let Some(index) = state.index {
-            state.base_timeline = Some(index.timeline());
-            state.reclaim.copy_from_slice(index.reclaim());
-            state.cheap.copy_from_slice(index.cheap());
-            // The id → slot-position map costs O(running) hashing, so it is
-            // built only on the first node that actually lists donors (a
-            // rigid-heavy cluster skips it entirely).
-            let slots = &state.slots;
-            let mut by_id: Option<HashMap<u64, usize>> = None;
-            for (node, donors) in state.donors.iter_mut().enumerate() {
-                let ids = index.donors(node);
-                if ids.is_empty() {
-                    continue;
-                }
-                let by_id = by_id.get_or_insert_with(|| {
-                    slots
-                        .iter()
-                        .enumerate()
-                        .map(|(i, s)| (s.job_id, i))
-                        .collect()
-                });
-                // Donor ids are kept in running order, so the mapped slot
-                // positions come out ascending — the tie-break order the
-                // reference scan uses.
-                donors.extend(ids.iter().map(|id| by_id[id]));
-            }
-        } else {
-            for (i, slot) in state.slots.iter().enumerate() {
-                if slot.malleable {
-                    let spare = slot.spare();
-                    let cheap = slot.zero_cost_spare();
-                    for &n in slot.node_indices.iter() {
-                        state.donors[n].push(i);
-                        state.reclaim[n] += spare;
-                        state.cheap[n] += cheap;
-                    }
-                }
-            }
         }
-        let avail: Vec<usize> = state
-            .free
-            .iter()
-            .zip(&state.reclaim)
-            .map(|(f, r)| f + r)
-            .collect();
-        state.free_hist = FreeHist::new(&state.free, view.node_cpus, |_| true);
-        state.avail_hist = FreeHist::new(&avail, view.node_cpus, |_| true);
-        state.open_free_hist = state.free_hist.clone();
-        state.open_avail_hist = state.avail_hist.clone();
-        state
     }
 
     /// [`fit_first`] behind the exact histogram reject guard: when fewer
@@ -2479,15 +2260,10 @@ impl SchedulerPolicy for MalleablePolicy {
         now_us: TimeUs,
     ) -> Vec<SchedulerAction> {
         let mut state = PassState::new(view);
-        let memo_ix = match self.probing {
-            Probing::AlwaysProbe => None,
-            _ => state.index,
-        };
-        if let Some(index) = memo_ix {
-            self.memo.sync_epoch(index.epoch());
-        }
+        let index = view.index;
+        self.memo.sync_epoch(index.epoch());
         #[cfg(test)]
-        let ignore_gens = matches!(self.probing, Probing::UnsoundStaleSkip);
+        let ignore_gens = self.hazard == Some(Hazard::StaleSkip);
         #[cfg(not(test))]
         let ignore_gens = false;
         // Reservation for the first job that could not be admitted at all:
@@ -2497,17 +2273,16 @@ impl SchedulerPolicy for MalleablePolicy {
         // rebuilding a masked free vector per queued job.
         let mut reservation: Option<(TimeUs, Vec<bool>)> = None;
 
-        for job in admission_iter(view, queue) {
+        for job in view.order.jobs(queue) {
             // A memo-valid job is provably still unadmittable (no width
             // class it needs gained nodes since its count-proven failure,
             // neither in the index nor from this pass's own shrinks), so it
             // falls straight through to the not-admitted flow below — the
             // reservation forecast is still paid, exactly as a re-probed
             // failure would.
-            let skip = memo_ix.is_some_and(|index| {
-                self.memo
-                    .still_blocked(job, index, Some(&state.raised), ignore_gens)
-            });
+            let skip = self
+                .memo
+                .still_blocked(job, index, Some(&state.raised), ignore_gens);
             let mut admitted = false;
             if !skip {
                 let placement = Self::plan_admission(job, &state, &reservation, now_us);
@@ -2521,12 +2296,10 @@ impl SchedulerPolicy for MalleablePolicy {
                     if state.carve_out(&node_indices, width, gain, self.loss_tolerance_fp) {
                         let reserved_mask = reservation.as_ref().map(|(_, m)| m.as_slice());
                         state.start(job, node_indices, width, now_us, reserved_mask);
-                        if memo_ix.is_some() {
-                            self.memo.forget(job.id);
-                        }
+                        self.memo.forget(job.id);
                         admitted = true;
                     }
-                } else if let Some(index) = memo_ix {
+                } else {
                     // Record only *count-proven* failures: the plain fit
                     // count and the plain availability count at the shrink
                     // floor both fall short. Mask- or economics-induced
@@ -2692,7 +2465,7 @@ impl MalleablePolicy {
     /// **less** than the base timeline promises at theirs. Base + overlay
     /// releases sum to each slot's current width at its estimated end —
     /// exactly what the reference replay
-    /// ([`MalleableScanPolicy`]'s `earliest_release_fit` over the slots)
+    /// ([`oracle::MalleableScanPolicy`]'s `earliest_release_fit` over the slots)
     /// accumulates, so the forecast is decision-identical. A slot's
     /// estimated end never changes mid-pass (re-estimates happen in the
     /// controller after a resize is applied), so shrink corrections always
@@ -2721,37 +2494,15 @@ impl MalleablePolicy {
             })
             .collect();
         overlay.sort_by_key(|d| d.end_us);
-        let one_shot;
-        let base = match state.base_timeline {
-            Some(timeline) => timeline,
-            None => {
-                one_shot = base_timeline_from_slots(&state.slots);
-                &one_shot
-            }
-        };
         earliest_timeline_fit(
             job.nodes,
             job.cpus_per_node,
             &state.free,
-            base,
+            state.timeline,
             &overlay,
             now_us,
         )
     }
-}
-
-/// A one-shot base [`ReleaseTimeline`] equivalent to the one the driver
-/// maintains: every slot that was already running when the pass began, at
-/// its **original** width (the pass's own shrinks and starts ride in the
-/// overlay). The fallback when the view carries no trustworthy index.
-fn base_timeline_from_slots(slots: &[Slot<'_>]) -> ReleaseTimeline {
-    let mut timeline = ReleaseTimeline::new();
-    for s in slots {
-        if let Some(original) = s.original_width {
-            timeline.add(s.job_id, &s.node_indices, original, s.expected_end_us);
-        }
-    }
-    timeline
 }
 
 /// Expansion, shared by both malleable implementations: hands the remaining
@@ -2874,300 +2625,30 @@ fn fit_first_masked(
     Some(selected)
 }
 
-/// The pre-index reference implementation of the malleable policy: identical
-/// decision procedure to [`MalleablePolicy`], but every availability and
-/// victim scan recomputes from the slot list — O(queue × nodes × running)
-/// per pass.
-///
-/// Kept for two reasons: the differential tests in `drom-sim` replay whole
-/// traces under both implementations and require byte-identical reports, and
-/// the `sched_scale` bench measures it next to the indexed pass so the
-/// speedup stays visible (`BENCH_sched.json` records both).
-#[derive(Debug, Clone)]
-pub struct MalleableScanPolicy {
-    /// Same shrink-economics tolerance as
-    /// [`MalleablePolicy::with_loss_tolerance`] — the reference must apply
-    /// the identical gate for the differential replays to stay meaningful
-    /// at non-default tolerances.
-    loss_tolerance_fp: u64,
-}
+#[cfg(test)]
+mod tests {
+    use super::oracle::{earliest_release_fit, AlwaysProbe, Holder, MalleableScanPolicy};
+    use super::*;
 
-impl Default for MalleableScanPolicy {
-    fn default() -> Self {
-        MalleableScanPolicy {
-            loss_tolerance_fp: SpeedupCurve::FP,
-        }
-    }
-}
-
-impl MalleableScanPolicy {
-    /// Reference-scan counterpart of
-    /// [`MalleablePolicy::with_loss_tolerance`].
-    pub fn with_loss_tolerance(tolerance_fp: u64) -> Self {
-        MalleableScanPolicy {
-            loss_tolerance_fp: tolerance_fp,
-        }
-    }
-}
-
-impl SchedulerPolicy for MalleableScanPolicy {
-    fn name(&self) -> &'static str {
-        "malleable-scan"
-    }
-
-    // ALLOC(pass): scan working set — slot table and donor columns are seeded
-    // per pass (same O(nodes) seeding as PassState::new).
-    // PANIC: indices address the pass-local node-count-sized vectors.
-    fn schedule(
-        &mut self,
-        view: &ClusterView<'_>,
+    /// One pass of `policy` over a view built from scratch: the index from
+    /// `free` and `running`, the admission order from `queue`.
+    fn pass(
+        mut policy: impl SchedulerPolicy,
+        node_cpus: usize,
+        free: &[usize],
+        running: &[RunningJob],
         queue: &[QueuedJob],
         now_us: TimeUs,
     ) -> Vec<SchedulerAction> {
-        let mut free = view.free.to_vec();
-        let mut slots: Vec<Slot<'_>> = view
-            .running
-            .iter()
-            .map(|r| Slot {
-                job_id: r.alloc.job_id,
-                node_indices: Cow::Borrowed(r.alloc.node_indices.as_slice()),
-                width: r.alloc.cpus_per_node,
-                original_width: Some(r.alloc.cpus_per_node),
-                floor: r.job.min_cpus_per_node,
-                request: r.job.cpus_per_node,
-                malleable: r.job.malleable,
-                expected_end_us: r.expected_end_us,
-                speedup: r.job.speedup.as_ref(),
-                reserved_overlap: false,
-            })
-            .collect();
-        let mut reservation: Option<(TimeUs, Vec<bool>)> = None;
-
-        for job in queue_order(queue) {
-            let placement = Self::plan_admission(job, &free, &slots, &reservation, now_us);
-            let mut admitted = false;
-            if let Some((node_indices, width)) = placement {
-                let reserved_mask = reservation.as_ref().map(|(_, m)| m.as_slice());
-                let gain = node_indices.len() as u128 * admission_gain(job, width) as u128;
-                if Self::carve_out(
-                    &mut free,
-                    &mut slots,
-                    &node_indices,
-                    width,
-                    reserved_mask,
-                    gain,
-                    self.loss_tolerance_fp,
-                ) {
-                    for &node in &node_indices {
-                        free[node] -= width;
-                    }
-                    slots.push(Slot {
-                        job_id: job.id,
-                        node_indices: Cow::Owned(node_indices),
-                        width,
-                        original_width: None,
-                        floor: job.min_cpus_per_node,
-                        request: job.cpus_per_node,
-                        malleable: job.malleable,
-                        expected_end_us: job
-                            .expected_duration_us
-                            .map(|d| now_us.saturating_add(job.scaled_duration_us(d, width))),
-                        speedup: job.speedup.as_ref(),
-                        reserved_overlap: false,
-                    });
-                    admitted = true;
-                }
-            }
-            if admitted {
-                continue;
-            }
-            if reservation.is_some() {
-                continue;
-            }
-            let holders: Vec<Holder<'_>> = slots
-                .iter()
-                .map(|s| Holder {
-                    end_us: s.expected_end_us,
-                    node_indices: &s.node_indices[..],
-                    width: s.width,
-                })
-                .collect();
-            match earliest_release_fit(job.nodes, job.cpus_per_node, &free, &holders, now_us) {
-                Some((at_us, nodes)) => {
-                    let mut mask = vec![false; free.len()];
-                    for &n in &nodes {
-                        mask[n] = true;
-                    }
-                    reservation = Some((at_us, mask));
-                }
-                None => break,
-            }
-        }
-
-        let reserved_mask = reservation.as_ref().map(|(_, m)| m.as_slice());
-        expand_shrunk(&mut slots, &mut free, reserved_mask);
-        emit_actions(&slots)
-    }
-}
-
-impl MalleableScanPolicy {
-    /// Reference `plan_admission`: same decisions as
-    /// [`MalleablePolicy::plan_admission`], recomputed from scratch.
-    // ALLOC(pass): one admission plan per candidate.
-    // PANIC: plan indices are pass-local.
-    fn plan_admission(
-        job: &QueuedJob,
-        free: &[usize],
-        slots: &[Slot<'_>],
-        reservation: &Option<(TimeUs, Vec<bool>)>,
-        now_us: TimeUs,
-    ) -> Option<(Vec<usize>, usize)> {
-        match reservation {
-            None => fit_first(free, job.nodes, job.cpus_per_node)
-                .map(|nodes| (nodes, job.cpus_per_node))
-                .or_else(|| Self::shrink_to_admit(job, free, slots, None)),
-            Some((reserved_at, mask)) => {
-                let ends_first = job
-                    .expected_duration_us
-                    .is_some_and(|d| now_us.saturating_add(d) <= *reserved_at);
-                if ends_first {
-                    if let Some(nodes) = fit_first(free, job.nodes, job.cpus_per_node) {
-                        return Some((nodes, job.cpus_per_node));
-                    }
-                }
-                let masked: Vec<usize> = free
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &f)| if mask[i] { 0 } else { f })
-                    .collect();
-                fit_first(&masked, job.nodes, job.cpus_per_node)
-                    .map(|nodes| (nodes, job.cpus_per_node))
-                    .or_else(|| Self::shrink_to_admit(job, &masked, slots, Some(mask)))
-            }
-        }
-    }
-
-    /// Reference victim selection: scans every slot, filtering by
-    /// `node_indices.contains` — the cost the donor index removes. Same
-    /// ranking key as [`PassState::best_donor`]: cheapest marginal cost,
-    /// then most spare, then earliest start.
-    fn best_donor(slots: &[Slot<'_>], node: usize, reserved: Option<&[bool]>) -> Option<usize> {
-        slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| {
-                s.malleable
-                    && s.width > s.shrink_floor()
-                    && s.node_indices.contains(&node)
-                    && !s.on_reserved(reserved)
-            })
-            .min_by_key(|&(i, s)| (s.donor_cost(), std::cmp::Reverse(s.spare()), i))
-            .map(|(i, _)| i)
-    }
-
-    /// Reference carve-out + shrink economics: the same decision rule as
-    /// [`PassState::carve_out`] — cheapest donors first, whole equal-cost
-    /// runs, full rollback when the donors' aggregate loss exceeds `gain` —
-    /// recomputed against the slot list.
-    // ALLOC(pass): one carve vector per admission candidate.
-    // PANIC: carving walks node-count-sized columns; the unreachable! arm
-    // guards an eligibility count proven exact before the walk.
-    fn carve_out(
-        free: &mut [usize],
-        slots: &mut [Slot<'_>],
-        node_indices: &[usize],
-        width: usize,
-        reserved: Option<&[bool]>,
-        gain: u128,
-        tolerance_fp: u64,
-    ) -> bool {
-        let mut donations: Vec<(usize, usize)> = Vec::new();
-        let mut loss: u128 = 0;
-        for &node in node_indices {
-            while free[node] < width {
-                let needed = width - free[node];
-                let Some(victim) = Self::best_donor(slots, node, reserved) else {
-                    unreachable!("plan_admission guaranteed the capacity");
-                };
-                let give = needed.min(slots[victim].donor_run());
-                loss += give as u128 * slots[victim].donor_cost() as u128;
-                slots[victim].width -= give;
-                for &n in slots[victim].node_indices.iter() {
-                    free[n] += give;
-                }
-                donations.push((victim, give));
-            }
-        }
-        if gain * tolerance_fp as u128 >= loss * SpeedupCurve::FP as u128 {
-            return true;
-        }
-        for &(victim, give) in donations.iter().rev() {
-            slots[victim].width += give;
-            for &n in slots[victim].node_indices.iter() {
-                free[n] -= give;
-            }
-        }
-        false
-    }
-
-    /// Reference shrink-to-admit: recomputes per-node availability (and the
-    /// zero-cost-reclaim tie-break) by scanning every slot for every node,
-    /// then fully sorts by the same key the indexed selection uses.
-    // ALLOC(pass): candidate shrink plans are collected per admission attempt.
-    // PANIC: plan indices address pass-local slot and node vectors.
-    fn shrink_to_admit(
-        job: &QueuedJob,
-        free: &[usize],
-        slots: &[Slot<'_>],
-        reserved: Option<&[bool]>,
-    ) -> Option<(Vec<usize>, usize)> {
-        let mut avail: Vec<(usize, usize, usize)> = free
-            .iter()
-            .enumerate()
-            .filter(|&(node, _)| !reserved.is_some_and(|m| m[node]))
-            .map(|(node, &f)| {
-                let donors = slots.iter().filter(|s| {
-                    s.malleable && s.node_indices.contains(&node) && !s.on_reserved(reserved)
-                });
-                let (reclaimable, cheap) =
-                    donors.fold((0, 0), |(r, c), s| (r + s.spare(), c + s.zero_cost_spare()));
-                (node, f + reclaimable, cheap)
-            })
-            .collect();
-        avail.sort_by_key(|&(node, a, cheap)| {
-            (std::cmp::Reverse(a), std::cmp::Reverse(cheap), node)
-        });
-        if avail.len() < job.nodes {
-            return None;
-        }
-        let selected = &avail[..job.nodes];
-        let width = selected
-            .iter()
-            .map(|&(_, a, _)| a)
-            .min()
-            .unwrap_or(0)
-            .min(job.cpus_per_node);
-        if width < shrink_floor(job.min_cpus_per_node, job.cpus_per_node) {
-            return None;
-        }
-        let mut node_indices: Vec<usize> = selected.iter().map(|&(n, _, _)| n).collect();
-        node_indices.sort_unstable();
-        Some((node_indices, width))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn view<'a>(node_cpus: usize, free: &'a [usize], running: &'a [RunningJob]) -> ClusterView<'a> {
-        ClusterView {
+        let index = SchedIndex::rebuild(free, running);
+        let order = AdmissionOrder::from_queue(queue);
+        let view = ClusterView {
             node_cpus,
-            free,
             running,
-            index: None,
-            order: None,
-        }
+            index: &index,
+            order: &order,
+        };
+        policy.schedule(&view, queue, now_us)
     }
 
     fn running(
@@ -3197,7 +2678,7 @@ mod tests {
             QueuedJob::new(2, 2, 16), // does not fit once job 1 holds a node
             QueuedJob::new(3, 1, 1),  // would fit, but the head blocks it
         ];
-        let actions = FirstFitPolicy::default().schedule(&view(16, &free, &[]), &queue, 0);
+        let actions = pass(FirstFitPolicy::default(), 16, &free, &[], &queue, 0);
         assert_eq!(actions.len(), 1);
         assert!(matches!(
             &actions[0],
@@ -3216,7 +2697,7 @@ mod tests {
             QueuedJob::new(1, 1, 16),
             QueuedJob::new(2, 1, 16).with_priority(5),
         ];
-        let actions = FirstFitPolicy::default().schedule(&view(16, &free, &[]), &queue, 0);
+        let actions = pass(FirstFitPolicy::default(), 16, &free, &[], &queue, 0);
         assert_eq!(actions.len(), 1);
         assert!(matches!(
             &actions[0],
@@ -3237,7 +2718,7 @@ mod tests {
             QueuedJob::new(3, 1, 8).with_expected_duration_us(200_000_000), // would delay head
             QueuedJob::new(4, 1, 8),  // no estimate: never backfilled
         ];
-        let actions = BackfillPolicy::default().schedule(&view(16, &free, &holders), &queue, 0);
+        let actions = pass(BackfillPolicy::default(), 16, &free, &holders, &queue, 0);
         assert_eq!(actions.len(), 1, "only the safe job jumps: {actions:?}");
         assert!(matches!(
             &actions[0],
@@ -3253,7 +2734,7 @@ mod tests {
             QueuedJob::new(1, 2, 16),
             QueuedJob::new(2, 1, 4).with_expected_duration_us(1),
         ];
-        let actions = BackfillPolicy::default().schedule(&view(16, &free, &holders), &queue, 0);
+        let actions = pass(BackfillPolicy::default(), 16, &free, &holders, &queue, 0);
         assert!(
             actions.is_empty(),
             "no reservation, no backfill: {actions:?}"
@@ -3266,7 +2747,7 @@ mod tests {
         let holders = vec![running(1, vec![0, 1], 16, 16, 4)];
         let free = [0, 0];
         let queue = vec![QueuedJob::new(2, 1, 8)];
-        let actions = MalleablePolicy::default().schedule(&view(16, &free, &holders), &queue, 0);
+        let actions = pass(MalleablePolicy::default(), 16, &free, &holders, &queue, 0);
         // Shrink job 1 (on both nodes), start job 2 on one node, and re-expand
         // job 1 by the slack the shrink left on the other node? The width is
         // uniform, so job 1 stays at 8 and node 1 keeps 8 CPUs free.
@@ -3299,7 +2780,7 @@ mod tests {
         // A shrunk malleable job and an empty queue: pure expansion.
         let holders = vec![running(1, vec![0, 1], 8, 16, 4)];
         let free = [8, 8];
-        let actions = MalleablePolicy::default().schedule(&view(16, &free, &holders), &[], 0);
+        let actions = pass(MalleablePolicy::default(), 16, &free, &holders, &[], 0);
         assert_eq!(
             actions,
             vec![SchedulerAction::Resize {
@@ -3316,7 +2797,7 @@ mod tests {
         let holders = vec![running(1, vec![0], 16, 16, 12)];
         let free = [0];
         let queue = vec![QueuedJob::new(2, 1, 8).malleable(4)];
-        let actions = MalleablePolicy::default().schedule(&view(16, &free, &holders), &queue, 0);
+        let actions = pass(MalleablePolicy::default(), 16, &free, &holders, &queue, 0);
         assert!(actions.contains(&SchedulerAction::Resize {
             job_id: 1,
             cpus_per_node: 12
@@ -3336,7 +2817,7 @@ mod tests {
         let holders = vec![running(1, vec![0], 16, 16, 16)]; // rigid-in-effect
         let free = [0];
         let queue = vec![QueuedJob::new(2, 1, 8)];
-        let actions = MalleablePolicy::default().schedule(&view(16, &free, &holders), &queue, 0);
+        let actions = pass(MalleablePolicy::default(), 16, &free, &holders, &queue, 0);
         assert!(actions.is_empty());
     }
 
@@ -3371,7 +2852,7 @@ mod tests {
                 .with_submit_us(2)
                 .with_expected_duration_us(142),
         ];
-        let actions = MalleablePolicy::default().schedule(&view(16, &free, &holders), &queue, 0);
+        let actions = pass(MalleablePolicy::default(), 16, &free, &holders, &queue, 0);
         assert!(
             actions.iter().any(|a| matches!(
                 a,
@@ -3404,7 +2885,8 @@ mod tests {
     }
 
     /// The indexed pass and the reference scan make identical decisions on a
-    /// view with no driver index (both rebuild from `running`).
+    /// hand-built view: the indexed pass reads the rebuilt index, the scan
+    /// recomputes everything from `running`.
     #[test]
     fn indexed_and_scan_policies_agree_on_handbuilt_views() {
         let mut holders = vec![
@@ -3427,9 +2909,15 @@ mod tests {
                 .with_expected_duration_us(100),
             QueuedJob::new(13, 1, 2).malleable(1).with_submit_us(3),
         ];
-        let indexed = MalleablePolicy::default().schedule(&view(16, &free, &holders), &queue, 50);
-        let scanned =
-            MalleableScanPolicy::default().schedule(&view(16, &free, &holders), &queue, 50);
+        let indexed = pass(MalleablePolicy::default(), 16, &free, &holders, &queue, 50);
+        let scanned = pass(
+            MalleableScanPolicy::default(),
+            16,
+            &free,
+            &holders,
+            &queue,
+            50,
+        );
         assert_eq!(indexed, scanned);
     }
 
@@ -3538,8 +3026,15 @@ mod tests {
             .with_expected_duration_us(101)
             .with_speedup(curve.clone())];
         for actions in [
-            MalleablePolicy::default().schedule(&view(16, &free, &holders), &queue, 0),
-            MalleableScanPolicy::default().schedule(&view(16, &free, &holders), &queue, 0),
+            pass(MalleablePolicy::default(), 16, &free, &holders, &queue, 0),
+            pass(
+                MalleableScanPolicy::default(),
+                16,
+                &free,
+                &holders,
+                &queue,
+                0,
+            ),
         ] {
             assert!(
                 actions.iter().any(|a| matches!(
@@ -3589,8 +3084,8 @@ mod tests {
         ];
         let free = [8];
         for actions in [
-            MalleablePolicy::default().schedule(&view(16, &free, &holders), &[], 0),
-            MalleableScanPolicy::default().schedule(&view(16, &free, &holders), &[], 0),
+            pass(MalleablePolicy::default(), 16, &free, &holders, &[], 0),
+            pass(MalleableScanPolicy::default(), 16, &free, &holders, &[], 0),
         ] {
             assert_eq!(
                 actions,
@@ -3627,8 +3122,15 @@ mod tests {
         let free = [4];
         let queue = vec![QueuedJob::new(3, 1, 8)];
         for actions in [
-            MalleablePolicy::default().schedule(&view(32, &free, &holders), &queue, 0),
-            MalleableScanPolicy::default().schedule(&view(32, &free, &holders), &queue, 0),
+            pass(MalleablePolicy::default(), 32, &free, &holders, &queue, 0),
+            pass(
+                MalleableScanPolicy::default(),
+                32,
+                &free,
+                &holders,
+                &queue,
+                0,
+            ),
         ] {
             assert!(
                 actions.contains(&SchedulerAction::Resize {
@@ -3677,8 +3179,15 @@ mod tests {
         let free = [4];
         let queue = vec![QueuedJob::new(2, 1, 8)];
         for actions in [
-            MalleablePolicy::default().schedule(&view(16, &free, &holders), &queue, 0),
-            MalleableScanPolicy::default().schedule(&view(16, &free, &holders), &queue, 0),
+            pass(MalleablePolicy::default(), 16, &free, &holders, &queue, 0),
+            pass(
+                MalleableScanPolicy::default(),
+                16,
+                &free,
+                &holders,
+                &queue,
+                0,
+            ),
         ] {
             assert!(
                 actions.is_empty(),
@@ -3812,8 +3321,14 @@ mod tests {
 
     #[test]
     fn fits_ever_diagnoses_impossible_jobs() {
-        let free = [16, 16];
-        let v = view(16, &free, &[]);
+        let index = SchedIndex::new(2, 16);
+        let order = AdmissionOrder::new();
+        let v = ClusterView {
+            node_cpus: 16,
+            running: &[],
+            index: &index,
+            order: &order,
+        };
         assert!(v.fits_ever(&QueuedJob::new(1, 2, 16)).is_ok());
         assert!(v.fits_ever(&QueuedJob::new(2, 3, 1)).is_err());
         assert!(v.fits_ever(&QueuedJob::new(3, 1, 17)).is_err());
@@ -4055,16 +3570,15 @@ mod tests {
         }
 
         fn iview<'a>(
-            free: &'a [usize],
             running: &'a [RunningJob],
             index: &'a SchedIndex,
+            order: &'a AdmissionOrder,
         ) -> ClusterView<'a> {
             ClusterView {
                 node_cpus: 16,
-                free,
                 running,
-                index: Some(index),
-                order: None,
+                index,
+                order,
             }
         }
 
@@ -4078,11 +3592,12 @@ mod tests {
             let free_before = [0usize];
             let mut index = SchedIndex::rebuild(&free_before, &holder);
             let queue = vec![QueuedJob::new(1, 1, 16)];
+            let order = AdmissionOrder::from_queue(&queue);
 
             let mut sound = FirstFitPolicy::default();
-            let mut probe = FirstFitPolicy::always_probe();
+            let mut probe = AlwaysProbe(FirstFitPolicy::default());
             let mut unsound = FirstFitPolicy::unsound_stale_skip();
-            let before = iview(&free_before, &holder, &index);
+            let before = iview(&holder, &index, &order);
             assert!(sound.schedule(&before, &queue, 0).is_empty());
             assert!(probe.schedule(&before, &queue, 0).is_empty());
             assert!(unsound.schedule(&before, &queue, 0).is_empty());
@@ -4091,8 +3606,7 @@ mod tests {
             // event to the index, bumping every width class the release
             // crossed (1..=16) — the recorded signature is now stale.
             index.on_complete(&holder[0].job, &[0], 16);
-            let free_after = [16usize];
-            let after = iview(&free_after, &[], &index);
+            let after = iview(&[], &index, &order);
 
             let expected = probe.schedule(&after, &queue, 1);
             assert_eq!(
@@ -4121,18 +3635,18 @@ mod tests {
             let free_before = [0usize];
             let mut index = SchedIndex::rebuild(&free_before, &holder);
             let queue = vec![QueuedJob::new(1, 1, 16)];
+            let order = AdmissionOrder::from_queue(&queue);
 
             let mut sound = MalleablePolicy::default();
-            let mut probe = MalleablePolicy::always_probe();
+            let mut probe = AlwaysProbe(MalleablePolicy::default());
             let mut unsound = MalleablePolicy::unsound_stale_skip();
-            let before = iview(&free_before, &holder, &index);
+            let before = iview(&holder, &index, &order);
             assert!(sound.schedule(&before, &queue, 0).is_empty());
             assert!(probe.schedule(&before, &queue, 0).is_empty());
             assert!(unsound.schedule(&before, &queue, 0).is_empty());
 
             index.on_complete(&holder[0].job, &[0], 16);
-            let free_after = [16usize];
-            let after = iview(&free_after, &[], &index);
+            let after = iview(&[], &index, &order);
 
             let expected = probe.schedule(&after, &queue, 1);
             assert_eq!(expected.len(), 1);
@@ -4165,7 +3679,8 @@ mod tests {
                 QueuedJob::new(1, 1, 16).with_expected_duration_us(1_000_000_000),
                 QueuedJob::new(2, 1, 8).with_expected_duration_us(500_000_000),
             ];
-            let view = iview(&free, &holder, &index);
+            let order = AdmissionOrder::from_queue(&queue);
+            let view = iview(&holder, &index, &order);
             let now = 10_000_000;
 
             let mut sound = BackfillPolicy::default();

@@ -5,16 +5,18 @@
 //!
 //! 1. **Order equivalence** — over arbitrary interleavings of submissions,
 //!    scheduling ticks, completions and requeues, the admission order the
-//!    controller maintains incrementally (O(log queue) per event) equals a
-//!    from-scratch sort of the live queue by the documented key
+//!    controller maintains incrementally (O(log queue) per event), and the
+//!    one `AdmissionOrder::from_queue` builds over the same live queue, both
+//!    equal a from-scratch sort of the live queue by the documented key
 //!    `(priority desc, submit time asc, id asc)`. The reference sort is
-//!    re-derived *here*, independently of the library's own `queue_order`,
-//!    so a tie-break slip in either implementation fails the property
-//!    (mutation check: flip any component of the key and this test fails
-//!    within a handful of cases).
+//!    re-derived *here*, independently of the library's own oracle
+//!    `queue_order`, so a tie-break slip in any implementation fails the
+//!    property (mutation check: flip any component of the key and this test
+//!    fails within a handful of cases).
 //!
 //! 2. **Probe-skip equivalence** — a dirty-tracked scheduler and an
-//!    always-probe twin fed the exact same event stream emit byte-identical
+//!    `oracle::AlwaysProbe` twin (a fresh, memo-less clone of the same
+//!    policy every pass) fed the exact same event stream emit byte-identical
 //!    applied-action lists at every tick, for all three policies. Every
 //!    skip the memo takes must therefore be decision-free (mutation check:
 //!    widening a skip — e.g. ignoring a generation — diverges; the two
@@ -26,7 +28,8 @@
 
 use proptest::prelude::*;
 
-use drom_slurm::policy::{QueuedJob, SchedulerPolicy};
+use drom_slurm::policy::oracle::AlwaysProbe;
+use drom_slurm::policy::{AdmissionOrder, QueuedJob, SchedulerPolicy};
 use drom_slurm::{BackfillPolicy, FirstFitPolicy, MalleablePolicy, PolicyScheduler};
 
 /// One step of the driver interleaving, decoded from raw proptest fuel.
@@ -75,13 +78,9 @@ fn reference_order(queue: &[QueuedJob]) -> Vec<u64> {
     jobs.iter().map(|j| j.id).collect()
 }
 
-/// Ids of the live queue as the incrementally maintained order walks them.
-fn incremental_order(sched: &PolicyScheduler) -> Vec<u64> {
-    sched
-        .admission_order()
-        .positions()
-        .map(|p| sched.queue()[p].id)
-        .collect()
+/// Ids of `queue` as `order` walks them.
+fn walk(order: &AdmissionOrder, queue: &[QueuedJob]) -> Vec<u64> {
+    order.positions().map(|p| queue[p].id).collect()
 }
 
 /// Applies one op to a scheduler; completions and requeues pick among the
@@ -127,7 +126,8 @@ fn apply(sched: &mut PolicyScheduler, op: Op, next_id: &mut u64, now: &mut u64) 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Property 1: the incremental admission order equals the from-scratch
+    /// Property 1: the incremental admission order, and the order
+    /// `from_queue` builds over the live queue, equal the from-scratch
     /// reference sort after **every** event of an arbitrary interleaving.
     #[test]
     fn incremental_order_matches_the_reference_sort(
@@ -137,10 +137,16 @@ proptest! {
         let (mut next_id, mut now) = (1u64, 0u64);
         for (kind, a, b) in ops {
             apply(&mut sched, decode(kind, a, b), &mut next_id, &mut now);
+            let reference = reference_order(sched.queue());
             prop_assert_eq!(
-                incremental_order(&sched),
-                reference_order(sched.queue()),
+                walk(sched.admission_order(), sched.queue()),
+                reference.clone(),
                 "incremental admission order diverged from the reference sort"
+            );
+            prop_assert_eq!(
+                walk(&AdmissionOrder::from_queue(sched.queue()), sched.queue()),
+                reference,
+                "from_queue diverged from the reference sort"
             );
             prop_assert_eq!(sched.admission_order().len(), sched.queue().len());
         }
@@ -151,13 +157,13 @@ proptest! {
     /// for all three policies. This is the action-list differential the
     /// trace digests enforce end-to-end, shrunk to minimal counterexamples.
     #[test]
-    fn dirty_tracked_passes_match_always_probe(
+    fn dirty_tracked_passes_match_always_probe_oracle(
         ops in proptest::collection::vec((0u8..5, any::<u64>(), any::<u64>()), 1..50),
     ) {
         let pairs: [(Box<dyn SchedulerPolicy>, Box<dyn SchedulerPolicy>); 3] = [
-            (Box::new(FirstFitPolicy::default()), Box::new(FirstFitPolicy::always_probe())),
-            (Box::new(BackfillPolicy::default()), Box::new(BackfillPolicy::always_probe())),
-            (Box::new(MalleablePolicy::default()), Box::new(MalleablePolicy::always_probe())),
+            (Box::new(FirstFitPolicy::default()), Box::new(AlwaysProbe(FirstFitPolicy::default()))),
+            (Box::new(BackfillPolicy::default()), Box::new(AlwaysProbe(BackfillPolicy::default()))),
+            (Box::new(MalleablePolicy::default()), Box::new(AlwaysProbe(MalleablePolicy::default()))),
         ];
         for (tracked, probed) in pairs {
             let name = tracked.name();
@@ -210,13 +216,8 @@ fn admission_order_tie_breaks_priority_then_submit_then_id() {
     ] {
         sched.submit(job).unwrap();
     }
-    let order: Vec<u64> = sched
-        .admission_order()
-        .positions()
-        .map(|p| sched.queue()[p].id)
-        .collect();
     assert_eq!(
-        order,
+        walk(sched.admission_order(), sched.queue()),
         vec![7, 3, 2, 5, 9, 4],
         "priority wins, then the earlier submit, then the lower id"
     );

@@ -26,8 +26,9 @@
 
 use proptest::prelude::*;
 
+use drom_slurm::policy::oracle::MalleableScanPolicy;
 use drom_slurm::policy::{
-    ClusterView, JobAllocation, MalleablePolicy, MalleableScanPolicy, QueuedJob, RunningJob,
+    AdmissionOrder, ClusterView, JobAllocation, MalleablePolicy, QueuedJob, RunningJob, SchedIndex,
     SchedulerAction, SchedulerPolicy, SpeedupCurve,
 };
 
@@ -222,13 +223,13 @@ proptest! {
         let queue = vec![QueuedJob::new(100, 1, need)];
         let expected = oracle(&requests, &floors, &curves, free, need);
 
-        let free_vec = [free];
+        let index = SchedIndex::rebuild(&[free], &holders);
+        let order = AdmissionOrder::from_queue(&queue);
         let view = ClusterView {
             node_cpus: NODE_CPUS,
-            free: &free_vec,
             running: &holders,
-            index: None,
-            order: None,
+            index: &index,
+            order: &order,
         };
         let indexed = MalleablePolicy::default().schedule(&view, &queue, 0);
         let scanned = MalleableScanPolicy::default().schedule(&view, &queue, 0);
